@@ -211,10 +211,12 @@ int main(int argc, char** argv) {
   }
   std::fprintf(f,
                "{\n  \"bench\": \"blocking_index\",\n"
+               "  \"host\": %s,\n"
                "  \"num_queries\": %zu,\n"
                "  \"guarantee\": {\"horizon_seconds\": %lld, "
                "\"min_segments\": %llu},\n  \"scales\": [\n",
-               nq, static_cast<long long>(guarantee.horizon_seconds),
+               bench::HostJson().c_str(), nq,
+               static_cast<long long>(guarantee.horizon_seconds),
                static_cast<unsigned long long>(guarantee.min_segments));
 
   bool all_identical = true;
@@ -330,9 +332,13 @@ int main(int argc, char** argv) {
     auto mode_json = [&](const char* name, const ModeStats& m, bool last) {
       std::fprintf(f,
                    "      \"%s\": {\"pairs\": %llu, \"seconds\": %.6f, "
+                   "\"us_per_pair\": %.4f, "
                    "\"accepted\": %llu, \"reduction_x\": %.3f, "
                    "\"recall\": %.6f}%s\n",
                    name, static_cast<unsigned long long>(m.pairs), m.seconds,
+                   m.pairs == 0 ? 0.0
+                                : 1e6 * m.seconds /
+                                      static_cast<double>(m.pairs),
                    static_cast<unsigned long long>(m.accepted), reduction(m),
                    recall(m), last ? "" : ",");
     };

@@ -11,7 +11,11 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
+
+#include "simd/dispatch.h"
 
 namespace ftl::bench {
 
@@ -29,6 +33,41 @@ inline size_t NumQueries() { return PaperScale() ? 200 : 80; }
 
 /// Global seed so every harness is reproducible.
 inline uint64_t BenchSeed() { return 20160501; }
+
+/// JSON object naming the host a result came from: hardware threads,
+/// CPU model, the SIMD kernel level serving queries, build type and
+/// compiler. Timings are only comparable between equal host blocks.
+inline std::string HostJson() {
+  std::string model = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t v = line.find(':');
+    if (v != std::string::npos) {
+      v = line.find_first_not_of(' ', v + 1);
+      if (v != std::string::npos) model = line.substr(v);
+    }
+    break;
+  }
+  for (char& c : model) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+#ifdef FTL_BUILD_TYPE
+  const char* build_type = FTL_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+#if defined(__GNUC__) && !defined(__clang__)
+  const char* compiler = "GNU " __VERSION__;  // GCC's __VERSION__ is bare
+#else
+  const char* compiler = __VERSION__;
+#endif
+  return std::string("{\"hardware_concurrency\": ") +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu_model\": \"" + model + "\", \"simd\": \"" +
+         simd::Dispatch().name + "\", \"build_type\": \"" + build_type +
+         "\", \"compiler\": \"" + compiler + "\"}";
+}
 
 }  // namespace ftl::bench
 

@@ -22,9 +22,8 @@ namespace {
 constexpr uint32_t kStageSampleEvery = 64;
 
 /// Candidates per ScorePairBatch call on the unlimited query paths:
-/// large enough to amortize per-batch setup (classifier views, metric
-/// handles, SIMD dispatch) to noise, small enough that the stack
-/// staging arrays stay cache-resident.
+/// large enough to amortize the per-batch metric update to noise, small
+/// enough that the stack staging arrays stay cache-resident.
 constexpr size_t kScoreBatchSize = 64;
 
 /// Named obs handles, resolved once per process (registry lookups are
@@ -91,6 +90,7 @@ Status FtlEngine::Train(const traj::TrajectoryDatabase& p,
   auto models = BuildModels(p, q, options_.training);
   if (!models.ok()) return models.status();
   models_ = std::move(models).value();
+  nb_tables_ = NaiveBayesLogTables(models_, options_.naive_bayes.prob_floor);
   trained_ = true;
   return Status::OK();
 }
@@ -104,6 +104,7 @@ void FtlEngine::SetModels(ModelPair models) {
   // fills every bucket.
   models_.rejection.RepairUnsupportedBuckets();
   models_.acceptance.RepairUnsupportedBuckets();
+  nb_tables_ = NaiveBayesLogTables(models_, options_.naive_bayes.prob_floor);
   trained_ = true;
 }
 
@@ -113,6 +114,15 @@ EvidenceOptions FtlEngine::evidence_options() const {
   ev.time_unit_seconds = options_.training.time_unit_seconds;
   ev.horizon_units = options_.training.horizon_units;
   return ev;
+}
+
+NaiveBayesMatcher FtlEngine::MakeNaiveBayes() const {
+  return NaiveBayesMatcher(models_, options_.naive_bayes, &nb_tables_);
+}
+
+FtlEngine::Scorers FtlEngine::MakeScorers() const {
+  return Scorers{evidence_options(), AlphaFilter(models_, options_.alpha),
+                 MakeNaiveBayes()};
 }
 
 namespace {
@@ -162,8 +172,7 @@ inline void PrefetchCandidate(const traj::FlatTrajectoryView& v) {
 
 template <typename QueryT, typename CandT>
 bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
-                         Matcher matcher, const EvidenceOptions& ev_opts,
-                         const AlphaFilter& filter, const NaiveBayesMatcher& nb,
+                         Matcher matcher, const Scorers& sc,
                          MatchCandidate* out, ScoreScratch* scratch) const {
   // Stage timers are sampled (1 in kStageSampleEvery pairs, always
   // including the first of a stream) so per-stage attribution costs a
@@ -176,11 +185,11 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
   int64_t alignment_ns = 0;
   if (sampled) {
     Stopwatch sw;
-    CollectEvidenceDispatch(query, cand, ev_opts, &scratch->evidence,
+    CollectEvidenceDispatch(query, cand, sc.ev_opts, &scratch->evidence,
                             &scratch->ev_scratch);
     alignment_ns = static_cast<int64_t>(sw.ElapsedSeconds() * 1e9);
   } else {
-    CollectEvidenceDispatch(query, cand, ev_opts, &scratch->evidence,
+    CollectEvidenceDispatch(query, cand, sc.ev_opts, &scratch->evidence,
                             &scratch->ev_scratch);
   }
   const BucketEvidence& ev = scratch->evidence;
@@ -220,7 +229,7 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
       if (sampled) {
         AlphaFilterStageTimes st;
         Stopwatch sw;
-        decision = filter.Classify(ev, &ws, &st);
+        decision = sc.filter.Classify(ev, &ws, &st);
         int64_t total_ns =
             static_cast<int64_t>(sw.ElapsedSeconds() * 1e9);
         const EngineMetrics& em = Metrics();
@@ -230,7 +239,7 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
         em.stage_decision_ns->Record(
             std::max<int64_t>(0, total_ns - st.bucketing_ns - st.tail_ns));
       } else {
-        decision = filter.Classify(ev, &ws);
+        decision = sc.filter.Classify(ev, &ws);
       }
       if (decision.fast_rejected) {
         ++scratch->n_fast_reject;
@@ -250,7 +259,7 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
         // classification (plus the lazy p-value fill for accepted
         // candidates) is attributed to the decision stage.
         Stopwatch sw;
-        NaiveBayesDecision d = nb.Classify(ev);
+        NaiveBayesDecision d = sc.nb.Classify(ev);
         out->nb_log_odds = d.LogOdds();
         bool same = d.same_person;
         if (same) fill_pvalues();
@@ -260,7 +269,7 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
             static_cast<int64_t>(sw.ElapsedSeconds() * 1e9));
         return same;
       }
-      NaiveBayesDecision d = nb.Classify(ev);
+      NaiveBayesDecision d = sc.nb.Classify(ev);
       out->nb_log_odds = d.LogOdds();
       if (!d.same_person) return false;
       fill_pvalues();
@@ -270,28 +279,12 @@ bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
   return false;
 }
 
-template <typename QueryT, typename CandT>
-bool FtlEngine::ScorePair(const QueryT& query, const CandT& cand,
-                          Matcher matcher, MatchCandidate* out,
-                          ScoreScratch* scratch) const {
-  // Both classifier views are thin model wrappers; constructing them
-  // per pair is cheap, just not free — the batch entry point below
-  // hoists them once per kScoreBatchSize pairs instead.
-  const EvidenceOptions ev_opts = evidence_options();
-  const AlphaFilter filter(models_, options_.alpha);
-  const NaiveBayesMatcher nb(models_, options_.naive_bayes);
-  return ScoreOne(query, cand, matcher, ev_opts, filter, nb, out, scratch);
-}
-
 template <typename QueryT, typename DbT>
 size_t FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
                                  const size_t* indices, size_t n,
-                                 Matcher matcher, MatchCandidate* out,
-                                 uint8_t* accepted,
+                                 Matcher matcher, const Scorers& sc,
+                                 MatchCandidate* out, uint8_t* accepted,
                                  ScoreScratch* scratch) const {
-  const EvidenceOptions ev_opts = evidence_options();
-  const AlphaFilter filter(models_, options_.alpha);
-  const NaiveBayesMatcher nb(models_, options_.naive_bayes);
   const EngineMetrics& em = Metrics();
   em.batch_pairs->Add(static_cast<int64_t>(n));
   size_t n_accepted = 0;
@@ -302,8 +295,7 @@ size_t FtlEngine::ScorePairBatch(const QueryT& query, const DbT& db,
     out[b].index = indices[b];
     auto&& cand = db[indices[b]];
     if (b + 1 < n) PrefetchCandidate(db[indices[b + 1]]);
-    bool acc =
-        ScoreOne(query, cand, matcher, ev_opts, filter, nb, &out[b], scratch);
+    bool acc = ScoreOne(query, cand, matcher, sc, &out[b], scratch);
     accepted[b] = acc ? 1 : 0;
     n_accepted += acc ? 1 : 0;
   }
@@ -344,8 +336,9 @@ Result<QueryResult> FtlEngine::QueryImpl(
 
   // One query-level stopwatch plus a per-scratch tally flush is the
   // whole per-query metrics cost; per-pair accounting lives in
-  // ScorePair as local integer increments.
+  // ScoreOne as local integer increments.
   Stopwatch query_sw;
+  const Scorers sc = MakeScorers();
   auto flush_tally = [](ScoreScratch* s) {
     if (s->n_candidates == 0) return;
     const EngineMetrics& em = Metrics();
@@ -388,8 +381,8 @@ Result<QueryResult> FtlEngine::QueryImpl(
           ++i;
         }
         if (nb == 0) continue;
-        ScorePairBatch(query, db, idxbuf, nb, matcher, mcbuf.data(), accbuf,
-                       s);
+        ScorePairBatch(query, db, idxbuf, nb, matcher, sc, mcbuf.data(),
+                       accbuf, s);
         for (size_t b = 0; b < nb; ++b) {
           if (!accbuf[b]) continue;
           mcbuf[b].label = db[mcbuf[b].index].label();
@@ -415,7 +408,7 @@ Result<QueryResult> FtlEngine::QueryImpl(
         if (skip(cand)) continue;
         MatchCandidate mc;
         mc.index = idx;
-        if (ScorePair(query, cand, matcher, &mc, s)) {
+        if (ScoreOne(query, cand, matcher, sc, &mc, s)) {
           mc.label = cand.label();
           result.candidates.push_back(std::move(mc));
         }
@@ -469,8 +462,8 @@ Result<QueryResult> FtlEngine::QueryImpl(
           ++i;
         }
         if (nb == 0) continue;
-        ScorePairBatch(query, db, idxbuf, nb, matcher, mcbuf.data(), accbuf,
-                       &s);
+        ScorePairBatch(query, db, idxbuf, nb, matcher, sc, mcbuf.data(),
+                       accbuf, &s);
         for (size_t b = 0; b < nb; ++b) {
           staged[posbuf[b]] = std::move(mcbuf[b]);
           accepted[posbuf[b]] = accbuf[b];
@@ -486,7 +479,8 @@ Result<QueryResult> FtlEngine::QueryImpl(
         auto&& cand = db[idx];
         if (skip(cand)) continue;
         staged[i].index = idx;
-        accepted[i] = ScorePair(query, cand, matcher, &staged[i], &s) ? 1 : 0;
+        accepted[i] =
+            ScoreOne(query, cand, matcher, sc, &staged[i], &s) ? 1 : 0;
       }
     };
     size_t evaluated = m;
@@ -695,16 +689,8 @@ BlockingGuarantee FtlEngine::DeriveBlockingGuarantee(Matcher matcher) const {
       g.min_segments = 0;  // the prior alone accepts; cannot prune
       return g;
     }
-    const double floor_p = options_.naive_bayes.prob_floor;
-    double best = -std::numeric_limits<double>::infinity();
-    for (int64_t u = 0; u < ev.horizon_units; ++u) {
-      double sr = models_.rejection.IncompatProbByUnit(u);
-      double sa = models_.acceptance.IncompatProbByUnit(u);
-      sr = std::min(1.0 - floor_p, std::max(floor_p, sr));
-      sa = std::min(1.0 - floor_p, std::max(floor_p, sa));
-      best = std::max(best, std::log(sr) - std::log(sa));
-      best = std::max(best, std::log(1.0 - sr) - std::log(1.0 - sa));
-    }
+    const double best =
+        MakeNaiveBayes().MaxSegmentLogLikelihoodRatio(ev.horizon_units);
     if (!(best > 0.0)) {
       g.min_segments = kNever;  // no segment favors "same person"
       return g;

@@ -317,41 +317,43 @@ class FtlEngine {
     uint32_t sample_tick = 0;
   };
 
-  /// Scores one (query, candidate) pair with every per-batch handle
-  /// already hoisted by the caller: evidence options, both classifier
-  /// views, and the resolved metric handles. The innermost unit of
-  /// both ScorePair and ScorePairBatch; returns true when the
-  /// candidate should enter Q_P. Template over the trajectory
+  /// Per-query scoring state, built once per query and shared
+  /// read-only by its workers: evidence options and both classifier
+  /// views. The NB view reads the log tables built with the models, so
+  /// no pair pays a logarithm.
+  struct Scorers {
+    EvidenceOptions ev_opts;
+    AlphaFilter filter;
+    NaiveBayesMatcher nb;
+  };
+  Scorers MakeScorers() const;
+
+  /// The Naïve-Bayes view over models_ and nb_tables_.
+  NaiveBayesMatcher MakeNaiveBayes() const;
+
+  /// Scores one (query, candidate) pair with the per-query state
+  /// hoisted by the caller; returns true when the candidate should
+  /// enter Q_P. The innermost unit of both the batch path and the
+  /// per-pair limit-polling path. Template over the trajectory
   /// representation (Trajectory or FlatTrajectoryView); all
   /// instantiations live in engine.cc.
   template <typename QueryT, typename CandT>
   bool ScoreOne(const QueryT& query, const CandT& cand, Matcher matcher,
-                const EvidenceOptions& ev_opts, const AlphaFilter& filter,
-                const NaiveBayesMatcher& nb, MatchCandidate* out,
+                const Scorers& sc, MatchCandidate* out,
                 ScoreScratch* scratch) const;
 
-  /// Scores one (query, candidate) pair into `out` using `scratch`;
-  /// returns true when the candidate should enter Q_P. Thin wrapper
-  /// over ScoreOne that sets up the per-batch state for a batch of
-  /// one; kept for the limit-polling query path, which needs per-pair
-  /// granularity.
-  template <typename QueryT, typename CandT>
-  bool ScorePair(const QueryT& query, const CandT& cand, Matcher matcher,
-                 MatchCandidate* out, ScoreScratch* scratch) const;
-
   /// Batch scoring entry point of the hot path: streams the `n`
-  /// database candidates listed in `indices` through ScoreOne with
-  /// kernel setup (evidence options, classifier construction, metric
-  /// handle and SIMD dispatch resolution) hoisted once per batch.
-  /// Writes per-candidate results to out[b] / accepted[b] (parallel to
-  /// `indices`) and returns the number accepted. Candidate evaluation
-  /// order inside the batch is the `indices` order, so results are
-  /// byte-identical to n successive ScorePair calls.
+  /// database candidates listed in `indices` through ScoreOne,
+  /// prefetching the next candidate. Writes per-candidate results to
+  /// out[b] / accepted[b] (parallel to `indices`) and returns the
+  /// number accepted. Candidate evaluation order inside the batch is
+  /// the `indices` order, so results are byte-identical to n
+  /// successive ScoreOne calls.
   template <typename QueryT, typename DbT>
   size_t ScorePairBatch(const QueryT& query, const DbT& db,
                         const size_t* indices, size_t n, Matcher matcher,
-                        MatchCandidate* out, uint8_t* accepted,
-                        ScoreScratch* scratch) const;
+                        const Scorers& sc, MatchCandidate* out,
+                        uint8_t* accepted, ScoreScratch* scratch) const;
 
   /// Shared implementation of the public query entry points, template
   /// over the storage backend: DbT is TrajectoryDatabase (AoS) or
@@ -383,6 +385,7 @@ class FtlEngine {
 
   EngineOptions options_;
   ModelPair models_;
+  NaiveBayesLogTables nb_tables_;  ///< rebuilt whenever models_ is set
   bool trained_ = false;
 };
 

@@ -10,6 +10,10 @@
 /// Pr((b_i)|M) = Π_i s^(l_i)^{b_i} (1 − s^(l_i))^{1−b_i}.
 /// Priors: φr = Pr(Mr), φa = 1 − φr.
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "core/compatibility_model.h"
 #include "core/evidence.h"
 #include "core/model_builders.h"
@@ -24,8 +28,50 @@ struct NaiveBayesParams {
   double phi_r = 0.01;
 
   /// Probability clamp applied to model buckets so a single zero/one
-  /// bucket cannot produce an infinite log-likelihood.
+  /// bucket cannot produce an infinite log-likelihood. Floors below the
+  /// smallest normal double are raised to it for the same reason.
   double prob_floor = 1e-6;
+};
+
+/// The clamped per-unit log-probabilities of a model pair: log s and
+/// log(1 − s) for the rejection model Mr and the acceptance model Ma,
+/// s clamped to [floor, 1 − floor]. A pure function of (models,
+/// prob_floor), built once per model set so that scoring a pair costs
+/// multiply-adds only, no logarithm. Every entry is finite and <= 0.
+class NaiveBayesLogTables {
+ public:
+  /// The four clamped logs of one time unit.
+  struct Unit {
+    double same_incompat = 0;  ///< log s_r
+    double same_compat = 0;    ///< log(1 − s_r)
+    double diff_incompat = 0;  ///< log s_a
+    double diff_compat = 0;    ///< log(1 − s_a)
+  };
+
+  /// Unbuilt tables carry a NaN floor, which matches no requested one.
+  NaiveBayesLogTables() = default;
+  NaiveBayesLogTables(const ModelPair& models, double prob_floor);
+
+  /// The floor as requested, before the smallest-normal raise.
+  double prob_floor() const { return prob_floor_; }
+
+  /// Entry for `unit`; a unit past both model horizons gets the
+  /// models' own fallback, probability 0 clamped to the floor.
+  const Unit& at(int64_t unit) const {
+    return unit >= 0 && static_cast<uint64_t>(unit) < units_.size()
+               ? units_[static_cast<size_t>(unit)]
+               : beyond_;
+  }
+
+  /// log Pr(b | Mr) and log Pr(b | Ma) of bucket evidence, summed in
+  /// unit order as inc·log s + (n − inc)·log(1 − s) per unit.
+  void LogLikelihoods(const BucketEvidence& evidence, double* ll_same,
+                      double* ll_diff) const;
+
+ private:
+  double prob_floor_ = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Unit> units_;
+  Unit beyond_;
 };
 
 /// Classification outcome for one (P, Q) pair.
@@ -42,15 +88,18 @@ struct NaiveBayesDecision {
 /// Stateless Naïve-Bayes classifier over a trained model pair.
 class NaiveBayesMatcher {
  public:
-  /// `models` must outlive the matcher.
-  NaiveBayesMatcher(const ModelPair& models, const NaiveBayesParams& params);
+  /// Reads `tables` (which must outlive the matcher) when they were
+  /// built from `models` for params.prob_floor; otherwise, e.g. after
+  /// the floor changed since they were built, builds its own.
+  NaiveBayesMatcher(const ModelPair& models, const NaiveBayesParams& params,
+                    const NaiveBayesLogTables* tables = nullptr);
 
   /// Scores pre-collected evidence.
   NaiveBayesDecision Classify(const MutualSegmentEvidence& evidence) const;
 
   /// Scores bucket-compacted evidence: the per-segment likelihood
-  /// product folds to one log/exp pair per occupied bucket, O(H)
-  /// instead of O(n).
+  /// product folds to two table multiply-adds per bucket, O(H) instead
+  /// of O(n).
   NaiveBayesDecision Classify(const BucketEvidence& evidence) const;
 
   /// Convenience: collects evidence for (p, q) and classifies.
@@ -58,16 +107,28 @@ class NaiveBayesMatcher {
                               const traj::Trajectory& q,
                               const EvidenceOptions& options) const;
 
+  /// Prior-free log-likelihood ratio log Pr(b | Mr) − log Pr(b | Ma).
+  double LogLikelihoodRatio(const BucketEvidence& evidence) const;
+
+  /// The largest log-likelihood ratio one informative segment can add,
+  /// over units [0, horizon_units) and both bit values.
+  double MaxSegmentLogLikelihoodRatio(int64_t horizon_units) const;
+
   const NaiveBayesParams& params() const { return params_; }
 
  private:
-  double LogLikelihood(const MutualSegmentEvidence& evidence,
-                       const CompatibilityModel& model) const;
-  double LogLikelihood(const BucketEvidence& evidence,
-                       const CompatibilityModel& model) const;
+  /// Adds the log priors to the likelihoods and picks the argmax model.
+  NaiveBayesDecision Decide(double ll_same, double ll_diff,
+                            size_t n_segments) const;
+  const NaiveBayesLogTables& tables() const {
+    return shared_ != nullptr ? *shared_ : own_;
+  }
 
-  const ModelPair& models_;
   NaiveBayesParams params_;
+  const NaiveBayesLogTables* shared_ = nullptr;
+  NaiveBayesLogTables own_;
+  double log_prior_same_ = 0;  ///< log φr, φr clamped to [1e-12, 1 − 1e-12]
+  double log_prior_diff_ = 0;  ///< log(1 − φr)
 };
 
 }  // namespace ftl::core

@@ -13,24 +13,6 @@ namespace ftl::eval {
 
 namespace {
 
-/// Prior-free log-likelihood of the evidence bits under a model, with
-/// the same probability floor the NaiveBayesMatcher uses; folded over
-/// the bucket histogram.
-double LogLikelihood(const core::BucketEvidence& ev,
-                     const core::CompatibilityModel& model, double floor) {
-  double ll = 0.0;
-  for (size_t u = 0; u < ev.horizon_units(); ++u) {
-    int32_t n_u = ev.count[u];
-    if (n_u == 0) continue;
-    double s = model.IncompatProbByUnit(static_cast<int64_t>(u));
-    s = std::min(1.0 - floor, std::max(floor, s));
-    int32_t inc = ev.incompatible[u];
-    ll += static_cast<double>(inc) * std::log(s) +
-          static_cast<double>(n_u - inc) * std::log(1.0 - s);
-  }
-  return ll;
-}
-
 WorkloadMetrics Evaluate(
     const std::vector<QueryScores>& scores,
     const std::vector<traj::OwnerId>& owners,
@@ -67,7 +49,9 @@ std::vector<QueryScores> ComputePairScores(
     const traj::TrajectoryDatabase& db) {
   const core::ModelPair& models = engine.models();
   core::EvidenceOptions ev_opts = engine.evidence_options();
-  double floor = engine.options().naive_bayes.prob_floor;
+  // Prior-free, so φr is irrelevant; the matcher's log tables are built
+  // once here for the engine's floor.
+  const core::NaiveBayesMatcher nb(models, engine.options().naive_bayes);
   std::vector<QueryScores> all(queries.size());
   // Per-worker scratch: bucket evidence and pmf workspaces are reused
   // across every pair a worker scores.
@@ -99,8 +83,7 @@ std::vector<QueryScores> ComputePairScores(
             ps.p2 = stats::GroupedPoissonBinomialTails(s.pb.groups, k, tail,
                                                        &s.pb)
                         .lower;
-            ps.log_lr = LogLikelihood(s.ev, models.rejection, floor) -
-                        LogLikelihood(s.ev, models.acceptance, floor);
+            ps.log_lr = nb.LogLikelihoodRatio(s.ev);
             out.push_back(ps);
           }
         }

@@ -664,8 +664,13 @@ Status Store::Append(const IngestBatch& batch) {
   }
 
   const uint64_t before = wal_.bytes();
+  const uint64_t syncs_before = wal_.syncs();
   Status st = wal_.Append(EncodeBatch(batch));
   StoreMetrics& m = Metrics();
+  // The append's own fsync (per the WalSync policy) is the only WAL
+  // sync; WalWriter counts successful ones, so the delta is exact even
+  // when the append fails after writing.
+  m.wal_syncs->Add(static_cast<int64_t>(wal_.syncs() - syncs_before));
   if (!st.ok()) {
     // Not acked, not visible — but the frame may be partially on disk,
     // and replay truncates at the first invalid frame, which would

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 
 #include "core/alpha_filter.h"
+#include "core/engine.h"
 #include "core/evidence.h"
 #include "core/naive_bayes.h"
+#include "sim/population_sim.h"
 
 namespace ftl::core {
 namespace {
@@ -234,6 +239,173 @@ TEST(NaiveBayesTest, LogOddsMonotoneInIncompatibleCount) {
     EXPECT_LT(cur, prev) << "k=" << k;
     prev = cur;
   }
+}
+
+// --------------------------------------------- NaiveBayes log tables
+
+/// Reference NB scoring straight from the paper's product: two clamped
+/// std::log calls per occupied unit and model, empty units skipped.
+/// The table-driven matcher must reproduce it bit for bit.
+double ReferenceLogLikelihood(const BucketEvidence& ev,
+                              const CompatibilityModel& model,
+                              double floor) {
+  double ll = 0.0;
+  for (size_t u = 0; u < ev.horizon_units(); ++u) {
+    int32_t n_u = ev.count[u];
+    if (n_u == 0) continue;
+    double s = model.IncompatProbByUnit(static_cast<int64_t>(u));
+    s = std::min(1.0 - floor, std::max(floor, s));
+    int32_t inc = ev.incompatible[u];
+    ll += static_cast<double>(inc) * std::log(s) +
+          static_cast<double>(n_u - inc) * std::log(1.0 - s);
+  }
+  return ll;
+}
+
+NaiveBayesDecision ReferenceClassify(const ModelPair& m,
+                                     const NaiveBayesParams& params,
+                                     const BucketEvidence& ev) {
+  double phi_r = std::min(1.0 - 1e-12, std::max(1e-12, params.phi_r));
+  NaiveBayesDecision d;
+  d.log_post_same = std::log(phi_r) + ReferenceLogLikelihood(
+                                          ev, m.rejection, params.prob_floor);
+  d.log_post_diff =
+      std::log(1.0 - phi_r) +
+      ReferenceLogLikelihood(ev, m.acceptance, params.prob_floor);
+  d.same_person = d.log_post_same >= d.log_post_diff;
+  return d;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// Random bucket probabilities with exact 0s and 1s mixed in, so the
+/// floor clamp is exercised at both ends.
+std::vector<double> RandomProbs(size_t h, std::mt19937_64* rng) {
+  std::uniform_real_distribution<double> uni(0.0, 1.0);
+  std::vector<double> probs(h);
+  for (double& p : probs) {
+    double r = uni(*rng);
+    p = r < 0.15 ? 0.0 : r > 0.85 ? 1.0 : uni(*rng);
+  }
+  return probs;
+}
+
+/// A random histogram over `h` units, about half of them empty.
+BucketEvidence RandomEvidence(size_t h, std::mt19937_64* rng) {
+  BucketEvidence ev;
+  ev.Reset(h);
+  std::uniform_int_distribution<int32_t> count(0, 40);
+  std::bernoulli_distribution occupied(0.5);
+  for (size_t u = 0; u < h; ++u) {
+    if (!occupied(*rng)) continue;
+    ev.count[u] = count(*rng);
+    ev.incompatible[u] =
+        std::uniform_int_distribution<int32_t>(0, ev.count[u])(*rng);
+    ev.informative += ev.count[u];
+    ev.k_observed += ev.incompatible[u];
+  }
+  return ev;
+}
+
+TEST(NaiveBayesTablesTest, BitIdenticalToDirectLogs) {
+  std::mt19937_64 rng(20160516);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Model horizons differ from each other and from the evidence
+    // horizon, which runs past both: units beyond a model's horizon
+    // score probability 0, clamped to the floor.
+    ModelPair m;
+    m.rejection = CompatibilityModel(60, RandomProbs(12, &rng));
+    m.acceptance = CompatibilityModel(60, RandomProbs(9, &rng));
+    for (double floor : {1e-6, 1e-3, 0.2}) {
+      for (double phi : {1e-9, 0.01, 0.3, 0.5, 0.99}) {
+        NaiveBayesParams params{phi, floor};
+        NaiveBayesMatcher nb(m, params);
+        for (size_t h : {size_t{0}, size_t{5}, size_t{12}, size_t{20}}) {
+          BucketEvidence ev = RandomEvidence(h, &rng);
+          NaiveBayesDecision got = nb.Classify(ev);
+          NaiveBayesDecision want = ReferenceClassify(m, params, ev);
+          ASSERT_EQ(Bits(got.log_post_same), Bits(want.log_post_same))
+              << "trial " << trial << " floor " << floor << " phi " << phi
+              << " h " << h;
+          ASSERT_EQ(Bits(got.log_post_diff), Bits(want.log_post_diff))
+              << "trial " << trial << " floor " << floor << " phi " << phi
+              << " h " << h;
+          EXPECT_EQ(got.same_person, want.same_person);
+          EXPECT_EQ(Bits(nb.LogLikelihoodRatio(ev)),
+                    Bits(ReferenceLogLikelihood(ev, m.rejection, floor) -
+                         ReferenceLogLikelihood(ev, m.acceptance, floor)));
+        }
+      }
+    }
+  }
+}
+
+TEST(NaiveBayesTablesTest, StaleTablesAreNotUsed) {
+  std::mt19937_64 rng(7);
+  ModelPair m;
+  m.rejection = CompatibilityModel(60, RandomProbs(10, &rng));
+  m.acceptance = CompatibilityModel(60, RandomProbs(10, &rng));
+  NaiveBayesLogTables built_for_default(m, 1e-6);
+  NaiveBayesParams params{0.2, 0.05};
+  NaiveBayesMatcher nb(m, params, &built_for_default);
+  for (int i = 0; i < 20; ++i) {
+    BucketEvidence ev = RandomEvidence(14, &rng);
+    EXPECT_EQ(Bits(nb.Classify(ev).log_post_same),
+              Bits(ReferenceClassify(m, params, ev).log_post_same));
+  }
+}
+
+/// Through the engine: tables are built at Train, the floor and φr
+/// then change through mutable_options(), and both the batch path and
+/// the per-pair limit-polling path must still score exactly like the
+/// direct-log reference under the live options.
+TEST(NaiveBayesTablesTest, EngineSeesLiveFloorAndPrior) {
+  sim::PopulationOptions po;
+  po.num_persons = 12;
+  po.duration_days = 3;
+  po.seed = 11;
+  sim::PopulationData data = sim::SimulatePopulation(po);
+  EngineOptions eo;
+  eo.training.horizon_units = 30;
+  eo.training.acceptance_pairs_per_db = 200;
+  FtlEngine engine(eo);
+  ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
+
+  size_t compared = 0;
+  for (double floor : {1e-6, 0.05}) {
+    for (double phi : {0.01, 0.5, 0.95}) {
+      engine.mutable_options()->naive_bayes = {phi, floor};
+      const NaiveBayesParams params = engine.options().naive_bayes;
+      for (size_t qi = 0; qi < 3; ++qi) {
+        const traj::Trajectory& query = data.cdr_db[qi];
+        std::vector<NaiveBayesDecision> want;
+        size_t n_same = 0;
+        for (size_t ci = 0; ci < data.transit_db.size(); ++ci) {
+          BucketEvidence ev;
+          CollectEvidence(query, data.transit_db[ci],
+                          engine.evidence_options(), &ev);
+          want.push_back(ReferenceClassify(engine.models(), params, ev));
+          n_same += want.back().same_person ? 1 : 0;
+        }
+        QueryOptions polling;  // non-null limits: per-pair path
+        for (bool per_pair : {false, true}) {
+          auto r = per_pair ? engine.Query(query, data.transit_db,
+                                           Matcher::kNaiveBayes, polling)
+                            : engine.Query(query, data.transit_db,
+                                           Matcher::kNaiveBayes);
+          ASSERT_TRUE(r.ok());
+          ASSERT_EQ(r.value().candidates.size(), n_same)
+              << "floor " << floor << " phi " << phi << " query " << qi;
+          for (const MatchCandidate& c : r.value().candidates) {
+            ASSERT_TRUE(want[c.index].same_person);
+            EXPECT_EQ(Bits(c.nb_log_odds), Bits(want[c.index].LogOdds()));
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 50u);
 }
 
 // Parameterized sweep: the alpha filter decision respects the

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -317,7 +318,9 @@ TEST_F(ServeTest, FullQueueRejectsWith503WithoutDeadlock) {
 
   constexpr size_t kClients = 8;
   std::vector<int> statuses(kClients, -1);
-  std::vector<bool> saw_retry_after(kClients, false);
+  // uint8_t, not bool: std::vector<bool> packs the flags into shared
+  // words, so concurrent writes from the client threads would race.
+  std::vector<uint8_t> saw_retry_after(kClients, 0);
   std::vector<std::thread> clients;
   for (size_t i = 0; i < kClients; ++i) {
     clients.emplace_back([&, i] {
@@ -327,7 +330,7 @@ TEST_F(ServeTest, FullQueueRejectsWith503WithoutDeadlock) {
       if (!r.ok()) return;
       statuses[i] = r.value().status;
       for (const auto& [name, value] : r.value().extra_headers) {
-        if (name == "retry-after" && value == "1") saw_retry_after[i] = true;
+        if (name == "retry-after" && value == "1") saw_retry_after[i] = 1;
       }
     });
   }

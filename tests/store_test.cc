@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "ftl/ftl.h"
+#include "obs/metrics.h"
 
 namespace ftl {
 namespace {
@@ -441,6 +442,33 @@ TEST(StoreTest, SyncPolicyCounters) {
   auto sn = store::Store::Open(FreshDir("store_sync_never"), never);
   ASSERT_TRUE(sn.ok());
   ASSERT_TRUE(sn.value()->Append(MakeBatch("a", 0, 1)).ok());
+}
+
+// ftl_store_wal_syncs_total counts every successful WAL fsync: one per
+// append under kAlways, none under kNever.
+TEST(StoreTest, WalSyncsCounterCountsEachSync) {
+  const obs::Counter& syncs =
+      obs::MetricsRegistry::Global().GetCounter("ftl_store_wal_syncs_total");
+  constexpr int kAppends = 5;
+
+  store::StoreOptions always = SmallStoreOptions();
+  always.wal_sync = store::WalSync::kAlways;
+  auto sa = store::Store::Open(FreshDir("store_syncs_always"), always);
+  ASSERT_TRUE(sa.ok());
+  int64_t before = syncs.Value();
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(sa.value()->Append(MakeBatch("a", i * 100, 1)).ok());
+  }
+  EXPECT_EQ(syncs.Value() - before, kAppends);
+
+  auto sn = store::Store::Open(FreshDir("store_syncs_never"),
+                               SmallStoreOptions());
+  ASSERT_TRUE(sn.ok());
+  before = syncs.Value();
+  for (int i = 0; i < kAppends; ++i) {
+    ASSERT_TRUE(sn.value()->Append(MakeBatch("a", i * 100, 1)).ok());
+  }
+  EXPECT_EQ(syncs.Value() - before, 0);
 }
 
 TEST(StoreTest, BackpressureUnderFlushFailure) {
