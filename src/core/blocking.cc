@@ -22,11 +22,22 @@ constexpr double kMaxCellCoord = 1073741824.0;  // 2^30
 /// bounding index size against epoch-spanning outliers.
 constexpr int64_t kMaxSpanBuckets = 1024;
 
+/// floor(v / cell_size), clamped to ±2^30 (NaN maps to -2^30). The
+/// clamp is applied to the quotient first, so the floor is a truncating
+/// int32 cast corrected for negative fractions: the same value as
+/// std::floor, without the libm call a baseline x86-64 build makes.
 int32_t CellCoord(double v, double cell_size) {
-  double c = std::floor(v / cell_size);
-  if (!(c >= -kMaxCellCoord)) return static_cast<int32_t>(-kMaxCellCoord);
-  if (c > kMaxCellCoord) return static_cast<int32_t>(kMaxCellCoord);
-  return static_cast<int32_t>(c);
+  const double q = v / cell_size;
+  if (!(q >= -kMaxCellCoord)) return static_cast<int32_t>(-kMaxCellCoord);
+  if (q >= kMaxCellCoord) return static_cast<int32_t>(kMaxCellCoord);
+  const int32_t c = static_cast<int32_t>(q);
+  return c - (static_cast<double>(c) > q);
+}
+
+/// Packs a clamped grid cell into one sortable key.
+int64_t CellKey(int32_t cx, int32_t cy) {
+  return (static_cast<int64_t>(cx) << 32) |
+         static_cast<int64_t>(static_cast<uint32_t>(cy));
 }
 
 int64_t FloorDiv(int64_t a, int64_t b) {
@@ -129,14 +140,156 @@ std::pair<int64_t, int64_t> TimeSpan(const TrajT& t) {
   return {lo, hi};
 }
 
-struct KeyEntry {
-  int64_t key;
-  uint32_t cand;
-  uint32_t weight;
-  bool operator<(const KeyEntry& o) const {
-    return key != o.key ? key < o.key : cand < o.cand;
+/// Sparse int64 key (bucket or cell id) -> dense slot, numbered in
+/// first-seen order. Open addressing with linear probing over a
+/// power-of-two table kept at most half full. The build's key spaces
+/// are small (thousands of buckets and cells) but unbounded in range,
+/// so neither a direct-address array nor a node-per-key map fits.
+class SlotMap {
+ public:
+  /// Slot of `key`, adding it when new.
+  uint32_t Insert(int64_t key) {
+    size_t i = Home(key);
+    for (; table_[i] != kEmpty; i = (i + 1) & mask_) {
+      if (keys_[table_[i]] == key) return table_[i];
+    }
+    const uint32_t slot = static_cast<uint32_t>(keys_.size());
+    keys_.push_back(key);
+    table_[i] = slot;
+    if (2 * keys_.size() > table_.size()) Grow();
+    return slot;
   }
+
+  /// Slot of a key already inserted.
+  uint32_t Find(int64_t key) const {
+    size_t i = Home(key);
+    while (keys_[table_[i]] != key) i = (i + 1) & mask_;
+    return table_[i];
+  }
+
+  /// Keys by slot.
+  const std::vector<int64_t>& keys() const { return keys_; }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+
+  size_t Home(int64_t key) const {  // Fibonacci hashing: top bits
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    table_.assign(2 * table_.size(), kEmpty);
+    mask_ = table_.size() - 1;
+    --shift_;
+    for (uint32_t s = 0; s < keys_.size(); ++s) {
+      size_t i = Home(keys_[s]);
+      while (table_[i] != kEmpty) i = (i + 1) & mask_;
+      table_[i] = s;
+    }
+  }
+
+  std::vector<uint32_t> table_ = std::vector<uint32_t>(16, kEmpty);
+  size_t mask_ = 15;
+  int shift_ = 60;  // 64 - log2(table size)
+  std::vector<int64_t> keys_;
 };
+
+/// Count-then-fill builder of one CSR posting table. The count walk
+/// tallies postings per key; Layout sorts only the distinct keys and
+/// prefix-sums the tallies into row offsets; the fill walk then claims
+/// each posting's exact output position. Walking candidates in
+/// ascending order leaves every posting list sorted by candidate.
+class CsrBuilder {
+ public:
+  /// Count walk: one more posting under `key`.
+  void Count(int64_t key) {
+    const uint32_t slot = slots_.Insert(key);
+    if (slot == tally_.size()) tally_.push_back(0);
+    ++tally_[slot];
+  }
+
+  /// Between the walks: writes the sorted distinct keys and the
+  /// keys.size() + 1 row offsets; returns the total posting count.
+  size_t Layout(std::vector<int64_t>* keys, std::vector<uint32_t>* begin) {
+    const std::vector<int64_t>& by_slot = slots_.keys();
+    std::vector<uint32_t> order(by_slot.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return by_slot[a] < by_slot[b];
+    });
+    keys->resize(order.size());
+    begin->resize(order.size() + 1);
+    row_of_slot_.resize(order.size());
+    uint32_t total = 0;
+    for (uint32_t row = 0; row < order.size(); ++row) {
+      (*keys)[row] = by_slot[order[row]];
+      (*begin)[row] = total;
+      row_of_slot_[order[row]] = row;
+      total += tally_[order[row]];
+    }
+    (*begin)[order.size()] = total;
+    cursor_.assign(begin->begin(), begin->end() - 1);
+    return total;
+  }
+
+  /// Fill walk: row of a counted key.
+  uint32_t Row(int64_t key) const { return row_of_slot_[slots_.Find(key)]; }
+
+  /// Fill walk: output position of the next posting in `row`.
+  uint32_t Claim(uint32_t row) { return cursor_[row]++; }
+
+ private:
+  SlotMap slots_;
+  std::vector<uint32_t> tally_;        // postings per slot
+  std::vector<uint32_t> row_of_slot_;  // sorted-key row per slot
+  std::vector<uint32_t> cursor_;       // next free position per row
+};
+
+/// One candidate's keys for all three tables, computed once per walk.
+struct CandidateKeys {
+  std::vector<int64_t> buckets;   ///< distinct occupied buckets, ascending
+  std::vector<uint32_t> records;  ///< records per bucket
+  std::vector<int64_t> cells;     ///< distinct grid cells, ascending
+  std::vector<int64_t> raw;       ///< bucket per record (staging)
+};
+
+template <typename TrajT>
+void CollectKeys(const TrajT& t, int64_t bucket, double cell, bool spatial,
+                 CandidateKeys* k) {
+  const size_t m = t.size();
+  // Occupancy runs: records per distinct bucket, ascending. Records
+  // are normally time-ordered, so the sort is rarely needed.
+  k->raw.clear();
+  for (size_t j = 0; j < m; ++j) k->raw.push_back(FloorDiv(t[j].t, bucket));
+  if (!std::is_sorted(k->raw.begin(), k->raw.end())) {
+    std::sort(k->raw.begin(), k->raw.end());
+  }
+  k->buckets.clear();
+  k->records.clear();
+  for (int64_t b : k->raw) {
+    if (!k->buckets.empty() && b == k->buckets.back()) {
+      ++k->records.back();
+    } else {
+      k->buckets.push_back(b);
+      k->records.push_back(1);
+    }
+  }
+
+  // Distinct cells. Consecutive records mostly share a cell, so repeats
+  // are dropped on the way in and the sort sees a short list.
+  k->cells.clear();
+  if (!spatial) return;
+  for (size_t j = 0; j < m; ++j) {
+    const auto r = t[j];
+    const int64_t c =
+        CellKey(CellCoord(r.location.x, cell), CellCoord(r.location.y, cell));
+    if (k->cells.empty() || k->cells.back() != c) k->cells.push_back(c);
+  }
+  std::sort(k->cells.begin(), k->cells.end());
+  k->cells.erase(std::unique(k->cells.begin(), k->cells.end()),
+                 k->cells.end());
+}
 
 }  // namespace
 
@@ -210,76 +363,71 @@ void BlockingIndex::Build(const DbT& db) {
   num_candidates_ = n;
   spans_.assign(n, {1, 0});  // (1, 0): empty span, never overlaps
 
+  // Two walks over the candidates, each computing every candidate's
+  // keys once for all three tables: the first counts postings per key
+  // (and records spans and the overflow list), the second writes each
+  // posting straight into its final CSR position.
   const int64_t bucket = options_.time_bucket_seconds;
   const double cell = options_.cell_size_meters;
-  std::vector<KeyEntry> occ, spn, cel;
-  std::vector<int64_t> tmp;
+  const bool temporal = options_.use_temporal;
+  const bool spatial = options_.use_spatial;
+  CsrBuilder occ, spn, cel;
+  CandidateKeys k;
+  // Span coverage posts every bucket from the first to the last
+  // occupied one (the buckets of the exact min/max time), unless the
+  // span is so long it would bloat the lists. The unsigned difference
+  // of the two cannot overflow.
+  auto span_width = [&] {
+    return static_cast<uint64_t>(k.buckets.back()) -
+           static_cast<uint64_t>(k.buckets.front());
+  };
+  constexpr uint64_t kMaxWidth = static_cast<uint64_t>(kMaxSpanBuckets);
   for (size_t i = 0; i < n; ++i) {
     const auto& t = db[i];
-    const size_t m = t.size();
-    if (m == 0) continue;
-    const uint32_t cand = static_cast<uint32_t>(i);
-
-    // Occupancy: one (bucket, record count) posting per occupied
-    // bucket; also the exact span, as a true min/max over records.
-    auto [lo, hi] = TimeSpan(t);
-    spans_[i] = {lo, hi};
-    tmp.clear();
-    for (size_t j = 0; j < m; ++j) tmp.push_back(FloorDiv(t[j].t, bucket));
-    std::sort(tmp.begin(), tmp.end());
-    for (size_t j = 0; j < tmp.size();) {
-      size_t k = j;
-      while (k < tmp.size() && tmp[k] == tmp[j]) ++k;
-      occ.push_back({tmp[j], cand, static_cast<uint32_t>(k - j)});
-      j = k;
-    }
-
-    // Span coverage: every bucket in [bucket(lo), bucket(hi)], unless
-    // the span is so long it would bloat the lists.
-    if (options_.use_temporal) {
-      int64_t b0 = FloorDiv(lo, bucket), b1 = FloorDiv(hi, bucket);
-      if (b1 - b0 >= kMaxSpanBuckets) {
-        span_overflow_.push_back(cand);
+    if (t.size() == 0) continue;
+    spans_[i] = TimeSpan(t);
+    CollectKeys(t, bucket, cell, spatial, &k);
+    for (int64_t b : k.buckets) occ.Count(b);
+    if (temporal) {
+      const uint64_t width = span_width();
+      if (width >= kMaxWidth) {
+        span_overflow_.push_back(static_cast<uint32_t>(i));
       } else {
-        for (int64_t b = b0; b <= b1; ++b) spn.push_back({b, cand, 1});
+        for (uint64_t d = 0; d <= width; ++d) {
+          spn.Count(static_cast<int64_t>(k.buckets.front() + d));
+        }
       }
     }
-
-    // Spatial cells: deduplicated per candidate.
-    if (options_.use_spatial) {
-      tmp.clear();
-      for (size_t j = 0; j < m; ++j) {
-        const auto r = t[j];
-        tmp.push_back(CellKey(CellCoord(r.location.x, cell),
-                              CellCoord(r.location.y, cell)));
-      }
-      std::sort(tmp.begin(), tmp.end());
-      tmp.erase(std::unique(tmp.begin(), tmp.end()), tmp.end());
-      for (int64_t c : tmp) cel.push_back({c, cand, 1});
-    }
+    for (int64_t c : k.cells) cel.Count(c);
   }
 
-  auto flatten = [](std::vector<KeyEntry>* in, PostingLists* out,
-                    bool keep_weight) {
-    std::sort(in->begin(), in->end());
-    out->keys.clear();
-    out->begin.clear();
-    out->entry.reserve(in->size());
-    for (const KeyEntry& e : *in) {
-      if (out->keys.empty() || out->keys.back() != e.key) {
-        out->keys.push_back(e.key);
-        out->begin.push_back(static_cast<uint32_t>(out->entry.size()));
-      }
-      out->entry.push_back(e.cand);
-      if (keep_weight) out->weight.push_back(e.weight);
+  occupancy_.entry.resize(occ.Layout(&occupancy_.keys, &occupancy_.begin));
+  occupancy_.weight.resize(occupancy_.entry.size());
+  span_.entry.resize(spn.Layout(&span_.keys, &span_.begin));
+  cells_.entry.resize(cel.Layout(&cells_.keys, &cells_.begin));
+
+  for (size_t i = 0; i < n; ++i) {
+    const auto& t = db[i];
+    if (t.size() == 0) continue;
+    const uint32_t cand = static_cast<uint32_t>(i);
+    CollectKeys(t, bucket, cell, spatial, &k);
+    for (size_t j = 0; j < k.buckets.size(); ++j) {
+      const uint32_t pos = occ.Claim(occ.Row(k.buckets[j]));
+      occupancy_.entry[pos] = cand;
+      occupancy_.weight[pos] = k.records[j];
     }
-    out->begin.push_back(static_cast<uint32_t>(out->entry.size()));
-    in->clear();
-    in->shrink_to_fit();
-  };
-  flatten(&occ, &occupancy_, /*keep_weight=*/true);
-  flatten(&spn, &span_, /*keep_weight=*/false);
-  flatten(&cel, &cells_, /*keep_weight=*/false);
+    if (temporal) {
+      const uint64_t width = span_width();
+      if (width < kMaxWidth) {
+        // Every bucket of the span is a key, so its rows are adjacent.
+        const uint32_t row = spn.Row(k.buckets.front());
+        for (uint32_t d = 0; d <= width; ++d) {
+          span_.entry[spn.Claim(row + d)] = cand;
+        }
+      }
+    }
+    for (int64_t c : k.cells) cells_.entry[cel.Claim(cel.Row(c))] = cand;
+  }
 
   build_micros_ = static_cast<int64_t>(sw.ElapsedSeconds() * 1e6);
   Metrics().builds->Add(1);

@@ -198,11 +198,6 @@ class BlockingIndex {
     std::vector<uint32_t> weight;  // record count per posting (occupancy)
   };
 
-  static int64_t CellKey(int32_t cx, int32_t cy) {
-    return (static_cast<int64_t>(cx) << 32) |
-           static_cast<int64_t>(static_cast<uint32_t>(cy));
-  }
-
   template <typename DbT>
   void Build(const DbT& db);
 

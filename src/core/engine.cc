@@ -16,10 +16,23 @@ namespace ftl::core {
 
 namespace {
 
-/// Every kStageSampleEvery-th pair per scratch stream pays the stage
+/// Every kStageSampleEvery-th pair a thread scores pays the stage
 /// stopwatches (6-8 clock reads); the rest pay only local integer
 /// tallies. Power of two so the modulo is a mask.
 constexpr uint32_t kStageSampleEvery = 64;
+
+/// True for the pairs whose stages are timed. The tick belongs to the
+/// thread and runs on across queries, scratches and store units, so no
+/// position in a query (its first, cold-cache pair, say) is timed more
+/// often than any other. Parallel calls spawn fresh workers, so each
+/// new thread starts at the next phase of a process-wide sequence
+/// instead of at 0.
+bool SampleThisPair() {
+  static std::atomic<uint32_t> next_phase{0};
+  thread_local uint32_t tick =
+      next_phase.fetch_add(1, std::memory_order_relaxed);
+  return (tick++ & (kStageSampleEvery - 1)) == 0;
+}
 
 /// Candidates per ScorePairBatch call on the unlimited query paths:
 /// large enough to amortize the per-batch metric update to noise, small
@@ -174,13 +187,12 @@ template <typename QueryT, typename CandT>
 bool FtlEngine::ScoreOne(const QueryT& query, const CandT& cand,
                          Matcher matcher, const Scorers& sc,
                          MatchCandidate* out, ScoreScratch* scratch) const {
-  // Stage timers are sampled (1 in kStageSampleEvery pairs, always
-  // including the first of a stream) so per-stage attribution costs a
-  // fraction of a clock read per pair amortized; counters are plain
-  // local increments flushed once per query. Neither touches the
-  // computation, so results are byte-identical with metrics on.
-  const bool sampled =
-      (scratch->sample_tick++ & (kStageSampleEvery - 1)) == 0;
+  // Stage timers are sampled (1 in kStageSampleEvery pairs) so
+  // per-stage attribution costs a fraction of a clock read per pair
+  // amortized; counters are plain local increments flushed once per
+  // query. Neither touches the computation, so results are
+  // byte-identical with metrics on.
+  const bool sampled = SampleThisPair();
   ++scratch->n_candidates;
   int64_t alignment_ns = 0;
   if (sampled) {

@@ -310,11 +310,6 @@ class FtlEngine {
     int64_t n_fast_reject = 0;
     int64_t n_exact_tail = 0;
     int64_t n_rna_tail = 0;
-
-    /// Stage-timer sampling phase: every kStageSampleEvery-th pair of
-    /// this scratch's stream (including the first) is wall-clocked
-    /// per stage into the ftl_stage_* histograms.
-    uint32_t sample_tick = 0;
   };
 
   /// Per-query scoring state, built once per query and shared

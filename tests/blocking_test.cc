@@ -4,6 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/blocking.h"
 #include "core/engine.h"
@@ -528,6 +533,274 @@ TEST(BlockingTest, OutOfRangeCandidateIndexRejected) {
                                       {99999}, Matcher::kNaiveBayes);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+}
+
+
+// ---------------------------------------------------------------------
+// Index oracle: Candidates and GuaranteedCandidates against brute-force
+// references computed from the raw records, on randomized and
+// adversarial databases, for the AoS and SoA builds of the same rows.
+
+using Rows = std::vector<std::pair<std::string, std::vector<Record>>>;
+using Cell = std::pair<int32_t, int32_t>;
+
+constexpr int64_t kMinT = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxT = std::numeric_limits<int64_t>::max();
+
+int64_t RefBucket(int64_t t, int64_t width) {
+  const int64_t q = t / width;
+  return (t % width != 0 && t < 0) ? q - 1 : q;
+}
+
+int64_t Saturate(__int128 v) {
+  if (v < kMinT) return kMinT;
+  if (v > kMaxT) return kMaxT;
+  return static_cast<int64_t>(v);
+}
+
+int32_t RefCellCoord(double v, double size) {
+  const double c = std::floor(v / size);
+  if (!(c >= -1073741824.0)) return -1073741824;
+  if (c > 1073741824.0) return 1073741824;
+  return static_cast<int32_t>(c);
+}
+
+std::set<Cell> RefCells(const std::vector<Record>& recs, double size) {
+  std::set<Cell> out;
+  for (const Record& r : recs) {
+    out.insert({RefCellCoord(r.location.x, size),
+                RefCellCoord(r.location.y, size)});
+  }
+  return out;
+}
+
+std::vector<size_t> AllOf(const Rows& db) {
+  std::vector<size_t> all(db.size());
+  for (size_t i = 0; i < db.size(); ++i) all[i] = i;
+  return all;
+}
+
+std::vector<size_t> RefCandidates(const Rows& db,
+                                  const std::vector<Record>& q,
+                                  const BlockingOptions& o) {
+  if (q.empty()) return {};
+  const bool spatial = o.use_spatial && o.min_shared_cells > 0;
+  if (!spatial && !o.use_temporal) return AllOf(db);
+  int64_t q_min = kMaxT, q_max = kMinT;
+  for (const Record& r : q) {
+    q_min = std::min(q_min, r.t);
+    q_max = std::max(q_max, r.t);
+  }
+  const int64_t q_lo =
+      Saturate(static_cast<__int128>(q_min) - o.temporal_slack_seconds);
+  const int64_t q_hi =
+      Saturate(static_cast<__int128>(q_max) + o.temporal_slack_seconds);
+  std::set<Cell> probes;
+  for (const Cell& c : RefCells(q, o.cell_size_meters)) {
+    for (int dx = -o.neighborhood; dx <= o.neighborhood; ++dx) {
+      for (int dy = -o.neighborhood; dy <= o.neighborhood; ++dy) {
+        probes.insert({c.first + dx, c.second + dy});
+      }
+    }
+  }
+  std::vector<size_t> out;
+  for (size_t i = 0; i < db.size(); ++i) {
+    const std::vector<Record>& recs = db[i].second;
+    if (recs.empty()) continue;
+    if (o.use_temporal) {
+      int64_t lo = kMaxT, hi = kMinT;
+      for (const Record& r : recs) {
+        lo = std::min(lo, r.t);
+        hi = std::max(hi, r.t);
+      }
+      if (hi < q_lo || lo > q_hi) continue;
+    }
+    if (spatial) {
+      size_t shared = 0;
+      for (const Cell& c : RefCells(recs, o.cell_size_meters)) {
+        shared += probes.count(c);
+      }
+      if (shared < o.min_shared_cells) continue;
+    }
+    out.push_back(i);
+  }
+  return out;
+}
+
+/// Keeps a candidate iff 2·m >= min_segments, m = its records whose
+/// bucket lies within ceil(horizon / width) buckets of a query bucket.
+std::vector<size_t> RefGuaranteed(const Rows& db,
+                                  const std::vector<Record>& q,
+                                  const BlockingGuarantee& g, int64_t width) {
+  if (g.min_segments == 0) return AllOf(db);
+  if (q.empty()) return {};
+  const int64_t horizon = std::max<int64_t>(g.horizon_seconds, 0);
+  const int64_t r = (horizon + width - 1) / width;
+  std::set<int64_t> q_buckets;
+  for (const Record& rec : q) q_buckets.insert(RefBucket(rec.t, width));
+  std::vector<size_t> out;
+  for (size_t i = 0; i < db.size(); ++i) {
+    uint64_t m = 0;
+    for (const Record& rec : db[i].second) {
+      const int64_t b = RefBucket(rec.t, width);
+      auto it = q_buckets.lower_bound(Saturate(static_cast<__int128>(b) - r));
+      if (it != q_buckets.end() &&
+          static_cast<__int128>(*it) <= static_cast<__int128>(b) + r) {
+        ++m;
+      }
+    }
+    if (2 * m >= g.min_segments) out.push_back(i);
+  }
+  return out;
+}
+
+enum class Shape {
+  kMixed,         // unsorted rows, negative times, empty trajectories
+  kWideTime,      // timestamps over the whole int64 range
+  kLongSpans,     // spans of >= 1024 buckets next to short ones
+  kExtremeCoord,  // ±1e308, ±inf and NaN coordinates
+  kOneBucket,     // every candidate in one bucket
+  kSparseFleet,   // short sessions far apart in time
+};
+
+std::vector<Record> RandomRecords(Shape shape, int64_t width,
+                                  std::mt19937_64& rng) {
+  std::uniform_int_distribution<int> count(0, 9);
+  std::uniform_real_distribution<double> coord(-20000.0, 20000.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double extremes[] = {1e308, -1e308, inf, -inf, nan, 0.0};
+  const int n = count(rng);
+  const int64_t session = static_cast<int64_t>(rng() % 1000) * 86400;
+  std::vector<Record> recs;
+  for (int j = 0; j < n; ++j) {
+    double x = coord(rng), y = coord(rng);
+    int64_t t = 0;
+    switch (shape) {
+      case Shape::kMixed:
+        t = static_cast<int64_t>(rng() % 2000001) - 1000000;
+        break;
+      case Shape::kWideTime:
+        t = rng() % 8 == 0 ? (rng() % 2 ? kMinT : kMaxT)
+                           : static_cast<int64_t>(rng());
+        break;
+      case Shape::kLongSpans:
+        t = static_cast<int64_t>(rng() % 3000) * width -
+            (rng() % 2 ? 1500 * width : 0);
+        break;
+      case Shape::kExtremeCoord:
+        t = static_cast<int64_t>(rng() % 20000);
+        if (rng() % 2) x = extremes[rng() % 6];
+        if (rng() % 2) y = extremes[rng() % 6];
+        break;
+      case Shape::kOneBucket:
+        t = -7 * width + static_cast<int64_t>(rng() % width);
+        break;
+      case Shape::kSparseFleet:
+        t = session + static_cast<int64_t>(rng() % 7200);
+        break;
+    }
+    recs.push_back(R(x, y, t));
+  }
+  return recs;
+}
+
+Rows RandomRows(Shape shape, size_t n, int64_t width, std::mt19937_64& rng) {
+  Rows rows;
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back({"c" + std::to_string(i), RandomRecords(shape, width, rng)});
+  }
+  return rows;
+}
+
+BlockingOptions RandomOptions(int64_t width, std::mt19937_64& rng) {
+  const double cells[] = {0.001, 1.0, 500.0, 3000.0};
+  const int64_t slacks[] = {0, 100, 6 * 3600, kMaxT / 2};
+  BlockingOptions o;
+  o.time_bucket_seconds = width;
+  o.use_temporal = rng() % 4 != 0;
+  o.use_spatial = rng() % 4 != 0;
+  o.cell_size_meters = cells[rng() % 4];
+  o.neighborhood = static_cast<int>(rng() % 3);
+  o.min_shared_cells = rng() % 4;
+  o.temporal_slack_seconds = slacks[rng() % 4];
+  return o;
+}
+
+std::string Describe(Shape shape, uint64_t seed, const BlockingOptions& o,
+                     size_t query) {
+  return "shape " + std::to_string(static_cast<int>(shape)) + " seed " +
+         std::to_string(seed) + " bucket " +
+         std::to_string(o.time_bucket_seconds) + " temporal " +
+         std::to_string(o.use_temporal) + " spatial " +
+         std::to_string(o.use_spatial) + " cell " +
+         std::to_string(o.cell_size_meters) + " nb " +
+         std::to_string(o.neighborhood) + " min_shared " +
+         std::to_string(o.min_shared_cells) + " slack " +
+         std::to_string(o.temporal_slack_seconds) + " query " +
+         std::to_string(query);
+}
+
+void CheckAgainstReference(Shape shape, uint64_t seed, int64_t width) {
+  std::mt19937_64 rng(seed);
+  const Rows rows = RandomRows(shape, 60, width, rng);
+  TrajectoryDatabase aos;  // Trajectory sorts its records; the rows stay raw
+  for (const auto& [label, recs] : rows) {
+    ASSERT_TRUE(aos.Add(T(label, 1, recs)).ok());
+  }
+  const traj::FlatDatabase soa = FlatFromRows(rows);
+
+  Rows queries = RandomRows(shape, 24, width, rng);
+  queries.push_back({"empty", {}});
+  for (size_t i = 0; i < 6; ++i) {
+    queries.push_back({"copy" + std::to_string(i), rows[rng() % 60].second});
+  }
+  const traj::FlatDatabase flat_queries = FlatFromRows(queries);
+
+  const BlockingOptions o = RandomOptions(width, rng);
+  const BlockingIndex aos_index(aos, o);
+  const BlockingIndex soa_index(soa, o);
+  const int64_t horizons[] = {0, 1, width - 1, 3600, 3 * width + 1,
+                              1000000000};
+  BlockingScratch scratch;
+  std::vector<size_t> got;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    SCOPED_TRACE(Describe(shape, seed, o, qi));
+    const std::vector<Record>& q = queries[qi].second;
+    const Trajectory aos_query = T("q", 1, q);
+    const traj::FlatTrajectoryView soa_query = flat_queries[qi];
+
+    const std::vector<size_t> want = RefCandidates(rows, q, o);
+    aos_index.Candidates(aos_query, &scratch, &got);
+    EXPECT_EQ(got, want);
+    soa_index.Candidates(soa_query, &scratch, &got);
+    EXPECT_EQ(got, want);
+
+    for (uint64_t min_segments : {1, 2, 3, 5}) {
+      const BlockingGuarantee g{horizons[rng() % 6], min_segments};
+      const std::vector<size_t> want_g = RefGuaranteed(rows, q, g, width);
+      aos_index.GuaranteedCandidates(aos_query, g, &scratch, &got);
+      EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
+                             << " min_segments " << min_segments;
+      soa_index.GuaranteedCandidates(soa_query, g, &scratch, &got);
+      EXPECT_EQ(got, want_g) << "horizon " << g.horizon_seconds
+                             << " min_segments " << min_segments;
+    }
+  }
+}
+
+TEST(BlockingOracleTest, MatchesBruteForceOnRandomAndAdversarialData) {
+  const Shape shapes[] = {Shape::kMixed,        Shape::kWideTime,
+                          Shape::kLongSpans,    Shape::kExtremeCoord,
+                          Shape::kOneBucket,    Shape::kSparseFleet};
+  for (Shape shape : shapes) {
+    for (int64_t width : {int64_t{1}, int64_t{60}, int64_t{3600}}) {
+      for (uint64_t seed = 1; seed <= 6; ++seed) {
+        CheckAgainstReference(shape, seed * 1000 + static_cast<uint64_t>(width),
+                              width);
+      }
+    }
+  }
 }
 
 }  // namespace

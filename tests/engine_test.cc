@@ -357,12 +357,40 @@ TEST(EngineTest, QueryRecordsSampledStageTimers) {
   auto& reg = obs::MetricsRegistry::Global();
   obs::Histogram& align = reg.GetHistogram("ftl_stage_alignment_ns");
   int64_t a0 = align.Count();
-  auto r = engine.Query(data.cdr_db[1], data.transit_db,
-                        Matcher::kAlphaFilter, 1);
-  ASSERT_TRUE(r.ok());
-  // The first pair of every scratch is always sampled, so at least one
-  // stage sample must land per query.
+  // One pair in 64 is sampled; every query over the whole database
+  // scores well over 64 pairs in total.
+  for (size_t q = 0; q < data.cdr_db.size(); ++q) {
+    ASSERT_TRUE(engine.Query(data.cdr_db[q], data.transit_db,
+                             Matcher::kAlphaFilter, 1)
+                    .ok());
+  }
   EXPECT_GT(align.Count() - a0, 0);
+}
+
+TEST(EngineTest, StageSamplerHasNoFirstPairBias) {
+  // N one-candidate queries score N pairs on this thread, each the
+  // first pair of its query and scratch. The sampling tick runs on
+  // across them, so about N/64 are timed, not N.
+  auto data = TestPopulation(20, 52);
+  FtlEngine engine(TestOptions());
+  ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Histogram& align = reg.GetHistogram("ftl_stage_alignment_ns");
+  obs::Counter& pairs = reg.GetCounter("ftl_query_candidates_total");
+  const int64_t a0 = align.Count(), p0 = pairs.Value();
+  constexpr size_t kQueries = 640;
+  for (size_t i = 0; i < kQueries; ++i) {
+    const size_t q = i % data.cdr_db.size();
+    ASSERT_TRUE(engine
+                    .QueryWithCandidates(data.cdr_db[q], data.transit_db,
+                                         {q}, Matcher::kAlphaFilter, nullptr,
+                                         nullptr)
+                    .ok());
+  }
+  const int64_t scored = pairs.Value() - p0;
+  EXPECT_EQ(scored, static_cast<int64_t>(kQueries));
+  // Any 640 consecutive ticks hold exactly 10 multiples of 64.
+  EXPECT_EQ(align.Count() - a0, scored / 64);
 }
 
 TEST(EngineTest, InstrumentationDoesNotChangeResults) {
