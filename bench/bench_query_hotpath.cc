@@ -235,8 +235,8 @@ int main(int argc, char** argv) {
 
   // ------------------------------------------- engine-variant harness
   auto run_engine_mode = [&](const std::string& name,
-                             const core::EngineOptions& opts,
-                             size_t threads) {
+                             core::EngineOptions opts, size_t threads) {
+    opts.num_threads = threads;
     core::FtlEngine e(opts);
     e.SetModels(models);
     ModeResult m;
@@ -248,7 +248,7 @@ int main(int argc, char** argv) {
       Stopwatch total;
       for (const auto& q : queries) {
         Stopwatch qsw;
-        auto r = e.Query(q, db, core::Matcher::kAlphaFilter, threads);
+        auto r = e.Query(q, db, core::Matcher::kAlphaFilter);
         if (!r.ok()) {
           std::fprintf(stderr, "%s: %s\n", name.c_str(),
                        r.status().ToString().c_str());
@@ -369,13 +369,15 @@ int main(int argc, char** argv) {
                "  \"num_objects\": %zu,\n"
                "  \"db_size\": %zu,\n"
                "  \"num_queries\": %zu,\n"
+               "  \"host\": %s,\n"
                "  \"hardware_threads\": %zu,\n"
                "  \"max_pvalue_diff_vs_dp\": %.6e,\n"
                "  \"speedup_serial_exact_vs_legacy\": %.4f,\n"
                "  \"speedup_parallel_vs_serial\": %.4f,\n"
                "  \"modes\": {\n",
                config.c_str(), num_objects, db.size(), queries.size(),
-               hw_threads, max_pvalue_diff, speedup_exact, speedup_parallel);
+               bench::HostJson().c_str(), hw_threads, max_pvalue_diff,
+               speedup_exact, speedup_parallel);
   for (size_t i = 0; i < modes.size(); ++i) {
     const ModeResult& m = modes[i];
     std::fprintf(f,

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iterator>
 #include <mutex>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "stats/grouped_poisson_binomial.h"
@@ -34,9 +36,10 @@ bool SampleThisPair() {
   return (tick++ & (kStageSampleEvery - 1)) == 0;
 }
 
-/// Candidates per ScorePairBatch call on the unlimited query paths:
-/// large enough to amortize the per-batch metric update to noise, small
-/// enough that the stack staging arrays stay cache-resident.
+/// Candidates per ScorePairBatch call (the scoring loop's window when
+/// no limit is set): large enough to amortize the per-batch metric
+/// update to noise, small enough that the stack staging arrays stay
+/// cache-resident.
 constexpr size_t kScoreBatchSize = 64;
 
 /// Named obs handles, resolved once per process (registry lookups are
@@ -319,11 +322,14 @@ Result<QueryResult> FtlEngine::QueryImpl(
     const QueryT& query, const DbT& db,
     const std::vector<size_t>* candidate_indices, Matcher matcher,
     size_t num_threads, ScoreScratch* scratch,
-    const QueryOptions* qopts) const {
+    const QueryOptions& qopts) const {
+  if (!trained_) {
+    return Status::FailedPrecondition("FtlEngine query before Train");
+  }
   if (db.empty()) {
     return Status::InvalidArgument("candidate database is empty");
   }
-  size_t m = candidate_indices ? candidate_indices->size() : db.size();
+  const size_t m = candidate_indices ? candidate_indices->size() : db.size();
   if (candidate_indices) {
     for (size_t i : *candidate_indices) {
       if (i >= db.size()) {
@@ -333,18 +339,17 @@ Result<QueryResult> FtlEngine::QueryImpl(
       }
     }
   }
-  auto candidate_at = [&](size_t i) {
-    return candidate_indices ? (*candidate_indices)[i] : i;
-  };
   // The non-overlap pre-filter only applies when scoring the whole
   // database; an explicit candidate list is always evaluated.
-  auto skip = [&](const auto& cand) {
-    return candidate_indices == nullptr &&
-           !options_.evaluate_non_overlapping &&
-           traj::TimeSpanOverlapSeconds(query, cand) == 0;
-  };
-  size_t check_every =
-      qopts != nullptr ? std::max<size_t>(1, qopts->check_every) : 0;
+  const bool prefilter =
+      candidate_indices == nullptr && !options_.evaluate_non_overlapping;
+  // Limits are checked once per window, so a real limit narrows the
+  // window to check_every candidates; inert options keep full batches.
+  const bool limited =
+      qopts.deadline.has_deadline() || qopts.cancel.can_cancel();
+  const size_t window =
+      limited ? std::clamp<size_t>(qopts.check_every, 1, kScoreBatchSize)
+              : kScoreBatchSize;
 
   // One query-level stopwatch plus a per-scratch tally flush is the
   // whole per-query metrics cost; per-pair accounting lives in
@@ -364,163 +369,118 @@ Result<QueryResult> FtlEngine::QueryImpl(
     s->n_rna_tail = 0;
   };
 
-  QueryResult result;
-  result.evaluated = m;
-  size_t workers = ParallelWorkerCount(m, num_threads);
+  // `first_stop` is the lowest position at which a limit fired (m when
+  // none did); `mu` guards the statuses, which are only written on a
+  // fired limit or a hard fault.
+  std::atomic<size_t> first_stop{m};
+  std::atomic<bool> failed{false};
+  std::mutex mu;
+  Status limit_status;
+  Status fault;
+
+  // Accepted candidates, tagged with their position in the evaluation
+  // order.
+  using Staged = std::pair<size_t, MatchCandidate>;
+
+  // The scoring loop: positions [begin, end) of the evaluation order go
+  // through ScorePairBatch one window at a time. Windows past an
+  // earlier stop are skipped (their results would be discarded).
+  auto score_span = [&](ScoreScratch* s, size_t begin, size_t end,
+                        std::vector<Staged>* out) {
+    size_t idxbuf[kScoreBatchSize];
+    size_t posbuf[kScoreBatchSize];
+    uint8_t accbuf[kScoreBatchSize];
+    std::vector<MatchCandidate>& mcbuf = s->batch_out;
+    mcbuf.resize(kScoreBatchSize);
+    for (size_t w = begin; w < end; w += window) {
+      if (failed.load(std::memory_order_relaxed) ||
+          first_stop.load(std::memory_order_relaxed) < w) {
+        return;
+      }
+      Status limit = qopts.Check();
+      if (!limit.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (w < first_stop.load(std::memory_order_relaxed)) {
+          first_stop.store(w, std::memory_order_relaxed);
+          limit_status = std::move(limit);
+        }
+        return;
+      }
+      const size_t wend = std::min(end, w + window);
+      size_t nb = 0;
+      for (size_t i = w; i < wend; ++i) {
+        // A hard injected fault (unlike a fired limit) fails the query.
+        if (failpoint::AnyArmed()) {
+          Status fp = failpoint::Check("core.query.candidate");
+          if (!fp.ok()) {
+            std::lock_guard<std::mutex> lock(mu);
+            if (fault.ok()) fault = std::move(fp);
+            failed.store(true, std::memory_order_relaxed);
+            return;
+          }
+        }
+        const size_t idx = candidate_indices ? (*candidate_indices)[i] : i;
+        if (prefilter && traj::TimeSpanOverlapSeconds(query, db[idx]) == 0) {
+          continue;
+        }
+        idxbuf[nb] = idx;
+        posbuf[nb] = i;
+        ++nb;
+      }
+      if (nb == 0) continue;
+      ScorePairBatch(query, db, idxbuf, nb, matcher, sc, mcbuf.data(), accbuf,
+                     s);
+      for (size_t b = 0; b < nb; ++b) {
+        if (accbuf[b]) out->emplace_back(posbuf[b], std::move(mcbuf[b]));
+      }
+    }
+  };
+
+  std::vector<Staged> accepted;
+  size_t processed = m;
+  const size_t workers = ParallelWorkerCount(m, num_threads);
   if (workers <= 1) {
     ScoreScratch local;
     ScoreScratch* s = scratch != nullptr ? scratch : &local;
-    if (qopts == nullptr) {
-      // Unlimited serial path: stream candidates through the batch
-      // entry point, kScoreBatchSize at a time. Evaluation order is
-      // unchanged, so results are byte-identical to the per-pair loop.
-      size_t idxbuf[kScoreBatchSize];
-      uint8_t accbuf[kScoreBatchSize];
-      std::vector<MatchCandidate> mcbuf(kScoreBatchSize);
-      size_t i = 0;
-      while (i < m) {
-        size_t nb = 0;
-        while (i < m && nb < kScoreBatchSize) {
-          // A hard injected fault (unlike a fired limit) fails the
-          // query.
-          FTL_FAILPOINT("core.query.candidate");
-          size_t idx = candidate_at(i);
-          // `auto&&` so the by-value views of a FlatDatabase get
-          // lifetime extension while TrajectoryDatabase still binds by
-          // reference.
-          auto&& cand = db[idx];
-          if (!skip(cand)) idxbuf[nb++] = idx;
-          ++i;
-        }
-        if (nb == 0) continue;
-        ScorePairBatch(query, db, idxbuf, nb, matcher, sc, mcbuf.data(),
-                       accbuf, s);
-        for (size_t b = 0; b < nb; ++b) {
-          if (!accbuf[b]) continue;
-          mcbuf[b].label = db[mcbuf[b].index].label();
-          result.candidates.push_back(std::move(mcbuf[b]));
-        }
-      }
-    } else {
-      // Limit-polling path: per-pair scoring so a fired deadline or
-      // cancellation truncates within check_every candidates.
-      for (size_t i = 0; i < m; ++i) {
-        if (i % check_every == 0) {
-          Status limit = qopts->Check();
-          if (!limit.ok()) {
-            result.truncated = true;
-            result.status = std::move(limit);
-            result.evaluated = i;
-            break;
-          }
-        }
-        FTL_FAILPOINT("core.query.candidate");
-        size_t idx = candidate_at(i);
-        auto&& cand = db[idx];
-        if (skip(cand)) continue;
-        MatchCandidate mc;
-        mc.index = idx;
-        if (ScoreOne(query, cand, matcher, sc, &mc, s)) {
-          mc.label = cand.label();
-          result.candidates.push_back(std::move(mc));
-        }
-      }
-    }
+    score_span(s, 0, m, &accepted);
     flush_tally(s);
   } else {
-    // Score into a per-candidate staging area, then collect accepted
-    // candidates in index order — byte-identical to the serial loop,
-    // regardless of chunk interleaving. With limits in play, chunks
-    // are claimed monotonically and every claimed chunk completes, so
-    // the evaluated candidates always form a contiguous prefix.
-    std::vector<MatchCandidate> staged(m);
-    std::vector<uint8_t> accepted(m, 0);
+    // Chunks are claimed in increasing order and no chunk is claimed
+    // after a stop, so every position below min(first_stop, processed)
+    // was scored: truncation keeps a prefix, as in the serial loop.
     std::vector<ScoreScratch> scratches(workers);
-    std::mutex fail_mu;
-    Status limit_status;
-    Status fail_status;
-    std::atomic<bool> failed{false};
-    auto check_failpoint = [&]() {
-      if (!failpoint::AnyArmed()) return true;
-      Status fp = failpoint::Check("core.query.candidate");
-      if (fp.ok()) return true;
-      std::lock_guard<std::mutex> lock(fail_mu);
-      if (fail_status.ok()) fail_status = std::move(fp);
-      failed.store(true, std::memory_order_relaxed);
-      return false;
-    };
-    // Unlimited chunks run through the batch entry point (positions
-    // are staged alongside indices so skipped candidates do not shift
-    // the output slots); the limit-polling variant stays per-pair.
-    auto worker_batch_fn = [&](size_t worker, size_t begin, size_t end) {
-      ScoreScratch& s = scratches[worker];
-      size_t idxbuf[kScoreBatchSize];
-      size_t posbuf[kScoreBatchSize];
-      uint8_t accbuf[kScoreBatchSize];
-      std::vector<MatchCandidate> mcbuf(kScoreBatchSize);
-      size_t i = begin;
-      while (i < end) {
-        size_t nb = 0;
-        while (i < end && nb < kScoreBatchSize) {
-          if (failed.load(std::memory_order_relaxed)) return;
-          if (!check_failpoint()) return;
-          size_t idx = candidate_at(i);
-          auto&& cand = db[idx];
-          if (!skip(cand)) {
-            idxbuf[nb] = idx;
-            posbuf[nb] = i;
-            ++nb;
-          }
-          ++i;
-        }
-        if (nb == 0) continue;
-        ScorePairBatch(query, db, idxbuf, nb, matcher, sc, mcbuf.data(),
-                       accbuf, &s);
-        for (size_t b = 0; b < nb; ++b) {
-          staged[posbuf[b]] = std::move(mcbuf[b]);
-          accepted[posbuf[b]] = accbuf[b];
-        }
-      }
-    };
-    auto worker_fn = [&](size_t worker, size_t begin, size_t end) {
-      ScoreScratch& s = scratches[worker];
-      for (size_t i = begin; i < end; ++i) {
-        if (failed.load(std::memory_order_relaxed)) return;
-        if (!check_failpoint()) return;
-        size_t idx = candidate_at(i);
-        auto&& cand = db[idx];
-        if (skip(cand)) continue;
-        staged[i].index = idx;
-        accepted[i] =
-            ScoreOne(query, cand, matcher, sc, &staged[i], &s) ? 1 : 0;
-      }
-    };
-    size_t evaluated = m;
-    if (qopts == nullptr) {
-      ParallelForWorkers(m, num_threads, worker_batch_fn);
-    } else {
-      auto stop = [&]() {
-        if (failed.load(std::memory_order_relaxed)) return true;
-        Status limit = qopts->Check();
-        if (limit.ok()) return false;
-        std::lock_guard<std::mutex> lock(fail_mu);
-        if (limit_status.ok()) limit_status = std::move(limit);
-        return true;
-      };
-      evaluated = ParallelForWorkers(m, num_threads, stop, worker_fn);
-    }
+    std::vector<std::vector<Staged>> staged(workers);
+    processed = ParallelForWorkers(
+        m, num_threads,
+        [&]() {
+          return failed.load(std::memory_order_relaxed) ||
+                 first_stop.load(std::memory_order_relaxed) != m;
+        },
+        [&](size_t worker, size_t begin, size_t end) {
+          score_span(&scratches[worker], begin, end, &staged[worker]);
+        });
     for (ScoreScratch& s : scratches) flush_tally(&s);
-    if (failed.load(std::memory_order_relaxed)) return fail_status;
-    if (!limit_status.ok()) {
-      result.truncated = true;
-      result.status = limit_status;
-      result.evaluated = evaluated;
+    for (std::vector<Staged>& v : staged) {
+      std::move(v.begin(), v.end(), std::back_inserter(accepted));
     }
-    for (size_t i = 0; i < result.evaluated; ++i) {
-      if (!accepted[i]) continue;
-      staged[i].label = db[staged[i].index].label();
-      result.candidates.push_back(std::move(staged[i]));
-    }
+    std::sort(accepted.begin(), accepted.end(),
+              [](const Staged& a, const Staged& b) {
+                return a.first < b.first;
+              });
+  }
+  if (failed.load(std::memory_order_relaxed)) return fault;
+
+  QueryResult result;
+  result.evaluated = std::min(first_stop.load(std::memory_order_relaxed),
+                              processed);
+  if (!limit_status.ok()) {
+    result.truncated = true;
+    result.status = std::move(limit_status);
+  }
+  for (Staged& st : accepted) {
+    if (st.first >= result.evaluated) break;
+    st.second.label = db[st.second.index].label();
+    result.candidates.push_back(std::move(st.second));
   }
   std::stable_sort(result.candidates.begin(), result.candidates.end(),
                    [](const MatchCandidate& a, const MatchCandidate& b) {
@@ -543,102 +503,18 @@ Result<QueryResult> FtlEngine::QueryImpl(
 
 Result<QueryResult> FtlEngine::Query(const traj::Trajectory& query,
                                      const traj::TrajectoryDatabase& db,
-                                     Matcher matcher) const {
-  return Query(query, db, matcher, options_.num_threads);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::Trajectory& query,
-                                     const traj::TrajectoryDatabase& db,
-                                     Matcher matcher,
-                                     size_t num_threads) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
-  return QueryImpl(query, db, nullptr, matcher, num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::Trajectory& query,
-                                     const traj::TrajectoryDatabase& db,
                                      Matcher matcher,
                                      const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
   return QueryImpl(query, db, nullptr, matcher, options_.num_threads, nullptr,
-                   &qopts);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
-                                     const traj::FlatDatabase& db,
-                                     Matcher matcher) const {
-  return Query(query, db, matcher, options_.num_threads);
-}
-
-Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
-                                     const traj::FlatDatabase& db,
-                                     Matcher matcher,
-                                     size_t num_threads) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
-  return QueryImpl(query, db, nullptr, matcher, num_threads, nullptr, nullptr);
+                   qopts);
 }
 
 Result<QueryResult> FtlEngine::Query(const traj::FlatTrajectoryView& query,
                                      const traj::FlatDatabase& db,
                                      Matcher matcher,
                                      const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::Query before Train");
-  }
   return QueryImpl(query, db, nullptr, matcher, options_.num_threads, nullptr,
-                   &qopts);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher,
-    const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, &qopts);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, nullptr);
-}
-
-Result<QueryResult> FtlEngine::QueryWithCandidates(
-    const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-    const std::vector<size_t>& candidate_indices, Matcher matcher,
-    const QueryOptions& qopts) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher,
-                   options_.num_threads, nullptr, &qopts);
+                   qopts);
 }
 
 struct QueryScratch::Impl {
@@ -650,15 +526,13 @@ QueryScratch::~QueryScratch() = default;
 QueryScratch::QueryScratch(QueryScratch&&) noexcept = default;
 QueryScratch& QueryScratch::operator=(QueryScratch&&) noexcept = default;
 
+// A caller-owned scratch pins the query to the calling thread.
 Result<QueryResult> FtlEngine::QueryWithCandidates(
     const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
     const std::vector<size_t>& candidate_indices, Matcher matcher,
-    const QueryOptions* qopts, QueryScratch* scratch) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher, /*num_threads=*/1,
+    const QueryOptions& qopts, QueryScratch* scratch) const {
+  return QueryImpl(query, db, &candidate_indices, matcher,
+                   scratch != nullptr ? 1 : options_.num_threads,
                    scratch != nullptr ? &scratch->impl_->scratch : nullptr,
                    qopts);
 }
@@ -666,12 +540,9 @@ Result<QueryResult> FtlEngine::QueryWithCandidates(
 Result<QueryResult> FtlEngine::QueryWithCandidates(
     const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
     const std::vector<size_t>& candidate_indices, Matcher matcher,
-    const QueryOptions* qopts, QueryScratch* scratch) const {
-  if (!trained_) {
-    return Status::FailedPrecondition(
-        "FtlEngine::QueryWithCandidates before Train");
-  }
-  return QueryImpl(query, db, &candidate_indices, matcher, /*num_threads=*/1,
+    const QueryOptions& qopts, QueryScratch* scratch) const {
+  return QueryImpl(query, db, &candidate_indices, matcher,
+                   scratch != nullptr ? 1 : options_.num_threads,
                    scratch != nullptr ? &scratch->impl_->scratch : nullptr,
                    qopts);
 }
@@ -761,9 +632,11 @@ Result<QueryResult> FtlEngine::QueryBlockedImpl(
   if (!trained_) {
     return Status::FailedPrecondition("FtlEngine::QueryBlocked before Train");
   }
+  const QueryOptions no_limits;
+  const QueryOptions& limits = qopts != nullptr ? *qopts : no_limits;
   if (mode == BlockingMode::kOff) {
     return QueryImpl(query, db, nullptr, matcher, options_.num_threads,
-                     nullptr, qopts);
+                     nullptr, limits);
   }
   if (index.size() != db.size()) {
     return Status::InvalidArgument(
@@ -780,7 +653,7 @@ Result<QueryResult> FtlEngine::QueryBlockedImpl(
     index.Candidates(query, bs, &survivors);
   }
   return QueryImpl(query, db, &survivors, matcher, options_.num_threads,
-                   nullptr, qopts);
+                   nullptr, limits);
 }
 
 Result<QueryResult> FtlEngine::QueryBlocked(
@@ -799,59 +672,6 @@ Result<QueryResult> FtlEngine::QueryBlocked(
 
 Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
     const std::vector<traj::Trajectory>& queries,
-    const traj::TrajectoryDatabase& db, Matcher matcher) const {
-  if (!trained_) {
-    return Status::FailedPrecondition("FtlEngine::BatchQuery before Train");
-  }
-  std::vector<QueryResult> results(queries.size());
-  std::vector<Status> statuses(queries.size());
-  // Parallelism is spent across queries; each inner query runs serial
-  // on a per-worker scratch that persists across the whole batch.
-  size_t workers = ParallelWorkerCount(queries.size(), options_.num_threads);
-  std::vector<ScoreScratch> scratches(workers);
-  ParallelForWorkers(
-      queries.size(), options_.num_threads,
-      [&](size_t worker, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          auto r = QueryImpl(queries[i], db, nullptr, matcher, 1,
-                             &scratches[worker], nullptr);
-          if (r.ok()) {
-            results[i] = std::move(r).value();
-          } else {
-            statuses[i] = r.status();
-          }
-        }
-      });
-  // Aggregate every failure instead of silently dropping all but the
-  // first: a batch over a mixed workload should report the full damage.
-  size_t failures = 0;
-  std::string detail;
-  StatusCode first_code = StatusCode::kInternal;
-  constexpr size_t kMaxDetailed = 8;
-  for (size_t i = 0; i < statuses.size(); ++i) {
-    if (statuses[i].ok()) continue;
-    if (failures == 0) first_code = statuses[i].code();
-    if (failures < kMaxDetailed) {
-      detail += "; query " + std::to_string(i) + ": " +
-                statuses[i].ToString();
-    }
-    ++failures;
-  }
-  if (failures > 0) {
-    std::string msg = "BatchQuery: " + std::to_string(failures) + " of " +
-                      std::to_string(queries.size()) + " queries failed" +
-                      detail;
-    if (failures > kMaxDetailed) {
-      msg += "; (" + std::to_string(failures - kMaxDetailed) +
-             " more not shown)";
-    }
-    return Status(first_code, std::move(msg));
-  }
-  return results;
-}
-
-Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
-    const std::vector<traj::Trajectory>& queries,
     const traj::TrajectoryDatabase& db, Matcher matcher,
     const QueryOptions& qopts) const {
   if (!trained_) {
@@ -859,6 +679,8 @@ Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
   }
   std::vector<QueryResult> results(queries.size());
   std::vector<Status> statuses(queries.size());
+  // Parallelism is spent across queries; each inner query runs serial
+  // on a per-worker scratch that persists across the whole batch.
   size_t workers = ParallelWorkerCount(queries.size(), options_.num_threads);
   std::vector<ScoreScratch> scratches(workers);
   ParallelForWorkers(
@@ -877,7 +699,7 @@ Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
             continue;
           }
           auto r = QueryImpl(queries[i], db, nullptr, matcher, 1,
-                             &scratches[worker], &qopts);
+                             &scratches[worker], qopts);
           if (r.ok()) {
             results[i] = std::move(r).value();
           } else {
@@ -886,8 +708,9 @@ Result<std::vector<QueryResult>> FtlEngine::BatchQuery(
         }
       });
   // A fired limit is reported per query (truncated results above), so
-  // only hard errors fail the batch — same aggregation as the
-  // unlimited overload.
+  // only hard errors fail the batch. Aggregate every failure instead of
+  // silently dropping all but the first: a batch over a mixed workload
+  // should report the full damage.
   size_t failures = 0;
   std::string detail;
   StatusCode first_code = StatusCode::kInternal;

@@ -68,9 +68,10 @@ struct QueryResult {
 
 /// Per-query limits, all optional and inert by default: a
 /// default-constructed QueryOptions never reads the clock and adds no
-/// observable behavior. Checked cooperatively between candidates, so a
-/// query stops within `check_every` candidate evaluations of the
-/// deadline or cancellation signal.
+/// observable behavior. Checked cooperatively at the boundaries of the
+/// scoring loop's candidate windows, so a query stops within
+/// `check_every` candidate evaluations of the deadline or cancellation
+/// signal.
 struct QueryOptions {
   /// Stop scoring once this deadline passes; the partial result is
   /// returned with truncated=true and status kDeadlineExceeded.
@@ -81,8 +82,9 @@ struct QueryOptions {
   /// deadline when both fire.
   CancelToken cancel;
 
-  /// How many candidates to score between checks. Smaller = tighter
-  /// latency bound, larger = less checking overhead.
+  /// How many candidates to score between checks while a deadline or
+  /// cancellable token is set (capped at the scoring batch size, 64).
+  /// Smaller = tighter latency bound, larger = less checking overhead.
   size_t check_every = 16;
 
   /// kCancelled if cancellation was requested, kDeadlineExceeded if
@@ -110,8 +112,8 @@ struct EngineOptions {
 
 /// Opaque reusable scoring workspace for callers that drive many
 /// serial QueryWithCandidates calls themselves — e.g. the store's
-/// sharded multi-segment fan-out, which runs one engine sub-query per
-/// work unit on its own workers. One instance per thread, never shared
+/// multi-segment fan-out, which runs one engine sub-query per work
+/// unit on its own workers. One instance per thread, never shared
 /// concurrently; reusing it keeps steady-state scoring allocation-free
 /// exactly like the engine's internal per-worker scratch.
 class QueryScratch {
@@ -156,41 +158,24 @@ class FtlEngine {
   /// matcher; candidates are ranked by non-increasing Eq. 2 score.
   /// For kAlphaFilter, a candidate enters Q_P iff it passes both phases;
   /// for kNaiveBayes, iff the posterior favors "same person". In both
-  /// cases p1/p2/score are computed for ranking.
+  /// cases p1/p2/score are computed for ranking. Candidates are scored
+  /// on options().num_threads workers; results are identical for any
+  /// thread count. When a limit in `qopts` fires the result is still
+  /// OK: it carries the candidates scored so far with truncated=true
+  /// and a status explaining why.
+  ///
+  /// The columnar (SoA) overload scores against a FlatDatabase,
+  /// streaming candidate records straight out of its contiguous columns
+  /// (e.g. an mmap'd FTB file) with no per-record indirection. The
+  /// evidence kernel is shared with the AoS path, so for equal record
+  /// data the results are byte-identical.
   Result<QueryResult> Query(const traj::Trajectory& query,
                             const traj::TrajectoryDatabase& db,
-                            Matcher matcher) const;
-
-  /// Like Query, but with an explicit worker-thread override. Callers
-  /// that already parallelize at a coarser grain (BatchQuery across
-  /// queries, ShardedEngine across shards) pass 1 to keep the inner
-  /// loop serial instead of oversubscribing. Results are identical for
-  /// any thread count.
-  Result<QueryResult> Query(const traj::Trajectory& query,
-                            const traj::TrajectoryDatabase& db,
-                            Matcher matcher, size_t num_threads) const;
-
-  /// Like Query, but honoring a deadline / cancellation token. When a
-  /// limit fires the result is still OK: it carries the candidates
-  /// scored so far with truncated=true and a status explaining why.
-  Result<QueryResult> Query(const traj::Trajectory& query,
-                            const traj::TrajectoryDatabase& db,
-                            Matcher matcher, const QueryOptions& qopts) const;
-
-  /// Columnar (SoA) overloads: score against a FlatDatabase, streaming
-  /// candidate records straight out of its contiguous columns (e.g. an
-  /// mmap'd FTB file) with no per-record indirection. The evidence
-  /// kernel is shared with the AoS path, so for equal record data the
-  /// results are byte-identical to the TrajectoryDatabase overloads.
-  Result<QueryResult> Query(const traj::FlatTrajectoryView& query,
-                            const traj::FlatDatabase& db,
-                            Matcher matcher) const;
+                            Matcher matcher,
+                            const QueryOptions& qopts = {}) const;
   Result<QueryResult> Query(const traj::FlatTrajectoryView& query,
                             const traj::FlatDatabase& db, Matcher matcher,
-                            size_t num_threads) const;
-  Result<QueryResult> Query(const traj::FlatTrajectoryView& query,
-                            const traj::FlatDatabase& db, Matcher matcher,
-                            const QueryOptions& qopts) const;
+                            const QueryOptions& qopts = {}) const;
 
   /// Like Query, but only evaluates the candidates at `candidate_indices`
   /// (e.g. the survivors of a BlockingIndex, or one sub-range of a
@@ -200,34 +185,19 @@ class FtlEngine {
   /// per-range results and re-running the same stable sort reproduces a
   /// whole-database query byte-for-byte (store::StoreSnapshot relies on
   /// this; DESIGN.md §12).
-  Result<QueryResult> QueryWithCandidates(
-      const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher) const;
-  Result<QueryResult> QueryWithCandidates(
-      const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions& qopts) const;
-  Result<QueryResult> QueryWithCandidates(
-      const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher) const;
-  Result<QueryResult> QueryWithCandidates(
-      const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
-      const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions& qopts) const;
-
-  /// Serial QueryWithCandidates with a caller-owned QueryScratch:
-  /// always runs on the calling thread (never the engine pool), so a
-  /// caller that shards candidates across its own workers — one
-  /// scratch per worker — composes sub-results without oversubscribing
-  /// threads. `qopts` and `scratch` may each be null.
+  ///
+  /// A caller-owned `scratch` runs the query serially on the calling
+  /// thread, so a caller that splits candidates across its own workers
+  /// (one scratch per worker) composes sub-results without
+  /// oversubscribing threads and without per-call allocation.
   Result<QueryResult> QueryWithCandidates(
       const traj::Trajectory& query, const traj::TrajectoryDatabase& db,
       const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions* qopts, QueryScratch* scratch) const;
+      const QueryOptions& qopts = {}, QueryScratch* scratch = nullptr) const;
   Result<QueryResult> QueryWithCandidates(
       const traj::FlatTrajectoryView& query, const traj::FlatDatabase& db,
       const std::vector<size_t>& candidate_indices, Matcher matcher,
-      const QueryOptions* qopts, QueryScratch* scratch) const;
+      const QueryOptions& qopts = {}, QueryScratch* scratch = nullptr) const;
 
   /// Derives the accept-preserving blocking contract for `matcher`
   /// from the trained models (requires trained()): `horizon_seconds`
@@ -266,21 +236,17 @@ class FtlEngine {
                                    BlockingScratch* scratch = nullptr,
                                    const QueryOptions* qopts = nullptr) const;
 
-  /// Answers many queries, optionally in parallel
-  /// (options.num_threads > 1). Results align with `queries` order.
-  Result<std::vector<QueryResult>> BatchQuery(
-      const std::vector<traj::Trajectory>& queries,
-      const traj::TrajectoryDatabase& db, Matcher matcher) const;
-
-  /// Like BatchQuery, but with a shared deadline / cancellation token.
-  /// A fired limit never fails the batch: queries that started return
-  /// their partial result (truncated=true), queries that had not
-  /// started return an empty truncated result, and each carries its
-  /// own status. Hard per-query errors still fail the batch.
+  /// Answers many queries, in parallel across queries when
+  /// options.num_threads > 1; results align with `queries` order. The
+  /// limits in `qopts` are shared by the whole batch. A fired limit
+  /// never fails the batch: queries that started return their partial
+  /// result (truncated=true), queries that had not started return an
+  /// empty truncated result, and each carries its own status. Hard
+  /// per-query errors fail the batch.
   Result<std::vector<QueryResult>> BatchQuery(
       const std::vector<traj::Trajectory>& queries,
       const traj::TrajectoryDatabase& db, Matcher matcher,
-      const QueryOptions& qopts) const;
+      const QueryOptions& qopts = {}) const;
 
   const EngineOptions& options() const { return options_; }
 
@@ -301,6 +267,10 @@ class FtlEngine {
     /// Segment staging buffers of the vector evidence kernels
     /// (simd/kernels.h); unused (but harmless) under scalar dispatch.
     simd::EvidenceScratch ev_scratch;
+
+    /// Output slots of one ScorePairBatch window, kept so that a query
+    /// over a handful of candidates does not build a full window.
+    std::vector<MatchCandidate> batch_out;
 
     /// Local metric tallies: plain integers bumped per pair and
     /// flushed to the global obs counters once per query, so the
@@ -328,9 +298,8 @@ class FtlEngine {
 
   /// Scores one (query, candidate) pair with the per-query state
   /// hoisted by the caller; returns true when the candidate should
-  /// enter Q_P. The innermost unit of both the batch path and the
-  /// per-pair limit-polling path. Template over the trajectory
-  /// representation (Trajectory or FlatTrajectoryView); all
+  /// enter Q_P. The innermost unit of ScorePairBatch. Template over the
+  /// trajectory representation (Trajectory or FlatTrajectoryView); all
   /// instantiations live in engine.cc.
   template <typename QueryT, typename CandT>
   bool ScoreOne(const QueryT& query, const CandT& cand, Matcher matcher,
@@ -350,18 +319,25 @@ class FtlEngine {
                         const Scorers& sc, MatchCandidate* out,
                         uint8_t* accepted, ScoreScratch* scratch) const;
 
-  /// Shared implementation of the public query entry points, template
-  /// over the storage backend: DbT is TrajectoryDatabase (AoS) or
+  /// Shared implementation of every query entry point, template over
+  /// the storage backend: DbT is TrajectoryDatabase (AoS) or
   /// FlatDatabase (SoA columns), QueryT the matching trajectory type.
   /// `candidate_indices == nullptr` scores the whole database (and
-  /// applies the evaluate_non_overlapping pre-filter). `scratch` may
-  /// be null (a local one is used) and is only honored when
-  /// num_threads <= 1; parallel runs build one scratch per worker.
-  /// `qopts` may be null (no limits); when set, deadline/cancellation
-  /// are polled every qopts->check_every candidates and a fired limit
-  /// yields an OK partial result with truncated=true. Candidates are
-  /// always evaluated in a stable order and truncation keeps a prefix
-  /// of it, so partial results are reproducible.
+  /// applies the evaluate_non_overlapping pre-filter). One loop scores
+  /// windows of the evaluation order through ScorePairBatch — serially
+  /// over all of it, or per chunk on num_threads workers — and checks
+  /// `qopts` at every window boundary; a fired limit yields an OK
+  /// partial result with truncated=true. The evaluated candidates are
+  /// always a prefix of the evaluation order, so partial results are
+  /// reproducible. `scratch` may be null (a local one is used) and is
+  /// only honored when the query runs on one worker.
+  template <typename QueryT, typename DbT>
+  Result<QueryResult> QueryImpl(const QueryT& query, const DbT& db,
+                                const std::vector<size_t>* candidate_indices,
+                                Matcher matcher, size_t num_threads,
+                                ScoreScratch* scratch,
+                                const QueryOptions& qopts) const;
+
   /// Shared body of the QueryBlocked overloads: candidate generation
   /// in `mode` followed by QueryImpl over the survivors.
   template <typename QueryT, typename DbT>
@@ -370,13 +346,6 @@ class FtlEngine {
                                        BlockingMode mode, Matcher matcher,
                                        BlockingScratch* scratch,
                                        const QueryOptions* qopts) const;
-
-  template <typename QueryT, typename DbT>
-  Result<QueryResult> QueryImpl(const QueryT& query, const DbT& db,
-                                const std::vector<size_t>* candidate_indices,
-                                Matcher matcher, size_t num_threads,
-                                ScoreScratch* scratch,
-                                const QueryOptions* qopts) const;
 
   EngineOptions options_;
   ModelPair models_;

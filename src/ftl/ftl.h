@@ -31,7 +31,6 @@
 #include "core/model_builders.h"
 #include "core/model_diagnostics.h"
 #include "core/naive_bayes.h"
-#include "core/sharded.h"
 #include "core/streaming.h"
 #include "privacy/attack_eval.h"
 #include "privacy/defenses.h"

@@ -255,6 +255,8 @@ Result<core::QueryResult> StoreSnapshot::Query(
   (void)qwrap.Add(query);
   traj::FlatDatabase qflat = traj::FlatDatabase::FromDatabase(qwrap);
   traj::FlatTrajectoryView qview = qflat[0];
+  const core::QueryOptions no_limits;
+  const core::QueryOptions& limits = qopts != nullptr ? *qopts : no_limits;
 
   // Candidate generation: when the snapshot carries per-segment
   // BlockingIndexes, each plain segment run is intersected with the
@@ -378,12 +380,12 @@ Result<core::QueryResult> StoreSnapshot::Query(
     Result<core::QueryResult> r =
         unit.overlay
             ? engine.QueryWithCandidates(query, overlay_db_, *idx, matcher,
-                                         qopts, scratch)
+                                         limits, scratch)
             : unit.source < nseg
                   ? engine.QueryWithCandidates(qview, *segments_[unit.source],
-                                               *idx, matcher, qopts, scratch)
+                                               *idx, matcher, limits, scratch)
                   : engine.QueryWithCandidates(query, memtable_db_, *idx,
-                                               matcher, qopts, scratch);
+                                               matcher, limits, scratch);
     UnitState& st = ustate[u];
     if (!r.ok()) {
       st.error = r.status();

@@ -5,7 +5,8 @@
 /// Cooperative deadline and cancellation primitives.
 ///
 /// Long-running operations (FtlEngine::Query / BatchQuery) accept a
-/// Deadline and a CancelToken and poll them at chunk granularity,
+/// Deadline and a CancelToken and poll them at every window boundary
+/// of the scoring loop (QueryOptions::check_every candidates),
 /// returning the work completed so far instead of hanging. Both types
 /// are cheap values: copying a token shares the underlying flag, and
 /// an unset Deadline / default CancelToken never trips and never reads

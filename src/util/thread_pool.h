@@ -2,10 +2,13 @@
 #define FTL_UTIL_THREAD_POOL_H_
 
 /// \file thread_pool.h
-/// A small fixed-size thread pool plus a ParallelFor helper.
+/// A small fixed-size thread pool plus ParallelFor helpers.
 ///
-/// Used by FtlEngine to answer independent queries in parallel — the
-/// "parallel implementation" the paper lists as future work.
+/// The pool runs `ftl serve`'s request workers. The ParallelFor
+/// helpers do not use it: each call spawns and joins its own threads.
+/// FtlEngine (candidates of one query, queries of a batch) and the
+/// store's multi-segment query fan-out run on them — the "parallel
+/// implementation" the paper lists as future work.
 
 #include <condition_variable>
 #include <cstddef>
@@ -77,8 +80,8 @@ void ParallelForWorkers(
 /// chunk runs to completion, the processed items always form a
 /// contiguous prefix [0, processed) of the range. Returns `processed`
 /// (== n when the range completed). Deadline/cancellation plumbing in
-/// FtlEngine relies on this prefix guarantee for reproducible partial
-/// results.
+/// FtlEngine and the store relies on this prefix guarantee for
+/// reproducible partial results.
 size_t ParallelForWorkers(
     size_t n, size_t num_threads, const std::function<bool()>& stop,
     const std::function<void(size_t worker, size_t begin, size_t end)>& fn);

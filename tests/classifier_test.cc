@@ -356,9 +356,9 @@ TEST(NaiveBayesTablesTest, StaleTablesAreNotUsed) {
 }
 
 /// Through the engine: tables are built at Train, the floor and φr
-/// then change through mutable_options(), and both the batch path and
-/// the per-pair limit-polling path must still score exactly like the
-/// direct-log reference under the live options.
+/// then change through mutable_options(), and both full scoring windows
+/// and the narrow windows of a limited query must still score exactly
+/// like the direct-log reference under the live options.
 TEST(NaiveBayesTablesTest, EngineSeesLiveFloorAndPrior) {
   sim::PopulationOptions po;
   po.num_persons = 12;
@@ -387,7 +387,10 @@ TEST(NaiveBayesTablesTest, EngineSeesLiveFloorAndPrior) {
           want.push_back(ReferenceClassify(engine.models(), params, ev));
           n_same += want.back().same_person ? 1 : 0;
         }
-        QueryOptions polling;  // non-null limits: per-pair path
+        // A real (if distant) deadline narrows the scoring window.
+        QueryOptions polling;
+        polling.deadline = Deadline::AfterMillis(600000);
+        polling.check_every = 3;
         for (bool per_pair : {false, true}) {
           auto r = per_pair ? engine.Query(query, data.transit_db,
                                            Matcher::kNaiveBayes, polling)

@@ -102,6 +102,10 @@ std::string Fingerprint(const QueryResult& r) {
   return out;
 }
 
+/// The limited-query tests run serial and on the parallel chunked
+/// path; both must stop at a prefix of the evaluation order.
+constexpr size_t kThreadCounts[] = {1, 4};
+
 class EngineDeadlineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -134,59 +138,72 @@ TEST_F(EngineDeadlineTest, PreCancelledTokenEvaluatesNothing) {
   QueryOptions qopts;
   qopts.cancel = CancelToken::Create();
   qopts.cancel.RequestCancel();
-  auto r = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                         Matcher::kAlphaFilter, qopts);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().truncated);
-  EXPECT_EQ(r.value().status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(r.value().evaluated, 0u);
-  EXPECT_TRUE(r.value().candidates.empty());
+  for (size_t threads : kThreadCounts) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    engine_.mutable_options()->num_threads = threads;
+    auto r = engine_.Query(data_.cdr_db[0], data_.transit_db,
+                           Matcher::kAlphaFilter, qopts);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.value().truncated);
+    EXPECT_EQ(r.value().status.code(), StatusCode::kCancelled);
+    EXPECT_EQ(r.value().evaluated, 0u);
+    EXPECT_TRUE(r.value().candidates.empty());
+  }
 }
 
 // The reproducibility contract: a truncated result is byte-identical
 // to the full run restricted to the prefix of candidates that were
-// evaluated before the limit fired.
+// evaluated before the limit fired, serial or parallel.
 TEST_F(EngineDeadlineTest, TruncatedResultIsPrefixOfFullRun) {
   auto full = engine_.Query(data_.cdr_db[0], data_.transit_db,
                             Matcher::kAlphaFilter);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
 
-  // Slow each candidate down so a short deadline fires mid-scan.
-  failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 5});
-  QueryOptions qopts;
-  qopts.deadline = Deadline::AfterMillis(20);
-  qopts.check_every = 1;
-  auto part = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                            Matcher::kAlphaFilter, qopts);
-  failpoint::DisarmAll();
-  ASSERT_TRUE(part.ok()) << part.status().ToString();
-  ASSERT_TRUE(part.value().truncated);
-  EXPECT_EQ(part.value().status.code(), StatusCode::kDeadlineExceeded);
-  size_t evaluated = part.value().evaluated;
-  ASSERT_LT(evaluated, data_.transit_db.size());
+  for (size_t threads : kThreadCounts) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    engine_.mutable_options()->num_threads = threads;
+    // Slow each candidate down so a short deadline fires mid-scan, even
+    // with every worker scoring.
+    failpoint::Arm("core.query.candidate", {failpoint::Action::kDelay, 10});
+    QueryOptions qopts;
+    qopts.deadline = Deadline::AfterMillis(20);
+    qopts.check_every = 1;
+    auto part = engine_.Query(data_.cdr_db[0], data_.transit_db,
+                              Matcher::kAlphaFilter, qopts);
+    failpoint::DisarmAll();
+    ASSERT_TRUE(part.ok()) << part.status().ToString();
+    ASSERT_TRUE(part.value().truncated);
+    EXPECT_EQ(part.value().status.code(), StatusCode::kDeadlineExceeded);
+    size_t evaluated = part.value().evaluated;
+    ASSERT_LT(evaluated, data_.transit_db.size());
 
-  // Whole-database queries evaluate candidates in index order, so the
-  // expected partial result is the full result filtered to indices
-  // below `evaluated` (ranking is a stable sort, so relative order of
-  // the survivors is unchanged).
-  QueryResult expected;
-  for (const auto& c : full.value().candidates) {
-    if (c.index < evaluated) expected.candidates.push_back(c);
+    // Whole-database queries evaluate candidates in index order, so the
+    // expected partial result is the full result filtered to indices
+    // below `evaluated` (ranking is a stable sort, so relative order of
+    // the survivors is unchanged).
+    QueryResult expected;
+    for (const auto& c : full.value().candidates) {
+      if (c.index < evaluated) expected.candidates.push_back(c);
+    }
+    EXPECT_EQ(Fingerprint(part.value()), Fingerprint(expected));
   }
-  EXPECT_EQ(Fingerprint(part.value()), Fingerprint(expected));
 }
 
 TEST_F(EngineDeadlineTest, HardFaultStillFailsTheQuery) {
   // An injected error is a real fault, not a limit: the query must
   // fail even though deadline plumbing is engaged.
-  failpoint::Arm("core.query.candidate", {failpoint::Action::kError, 0});
   QueryOptions qopts;
   qopts.deadline = Deadline::AfterMillis(60000);
-  auto r = engine_.Query(data_.cdr_db[0], data_.transit_db,
-                         Matcher::kAlphaFilter, qopts);
-  failpoint::DisarmAll();
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  for (size_t threads : kThreadCounts) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    engine_.mutable_options()->num_threads = threads;
+    failpoint::Arm("core.query.candidate", {failpoint::Action::kError, 0});
+    auto r = engine_.Query(data_.cdr_db[0], data_.transit_db,
+                           Matcher::kAlphaFilter, qopts);
+    failpoint::DisarmAll();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  }
 }
 
 // The serving-layer acceptance gate: a 50 ms deadline over a >1 s

@@ -281,13 +281,17 @@ TEST(EngineTest, ParallelQueryIdenticalToSerial) {
   // The staged parallel path must reproduce the serial loop exactly:
   // same candidates, same order, bitwise-equal p-values and scores.
   auto data = TestPopulation(40, 47);
+  EngineOptions parallel_opts = TestOptions();
+  parallel_opts.num_threads = 4;
   FtlEngine engine(TestOptions());
   ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
+  FtlEngine parallel_engine(parallel_opts);
+  parallel_engine.SetModels(engine.models());
   for (size_t qi = 0; qi < 5; ++qi) {
     auto serial = engine.Query(data.cdr_db[qi], data.transit_db,
-                               Matcher::kAlphaFilter, 1);
-    auto parallel = engine.Query(data.cdr_db[qi], data.transit_db,
-                                 Matcher::kAlphaFilter, 4);
+                               Matcher::kAlphaFilter);
+    auto parallel = parallel_engine.Query(data.cdr_db[qi], data.transit_db,
+                                          Matcher::kAlphaFilter);
     ASSERT_TRUE(serial.ok());
     ASSERT_TRUE(parallel.ok());
     const auto& a = serial.value().candidates;
@@ -336,7 +340,7 @@ TEST(EngineTest, QueryBumpsObservabilityCounters) {
   int64_t q0 = queries.Value(), c0 = cands.Value(), f0 = fast.Value();
   int64_t e0 = exact.Value(), r0 = rna.Value(), l0 = latency.Count();
   auto r = engine.Query(data.cdr_db[0], data.transit_db,
-                        Matcher::kAlphaFilter, 1);
+                        Matcher::kAlphaFilter);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(queries.Value() - q0, 1);
   // Every scored pair lands in exactly one of the three tail outcomes
@@ -361,7 +365,7 @@ TEST(EngineTest, QueryRecordsSampledStageTimers) {
   // scores well over 64 pairs in total.
   for (size_t q = 0; q < data.cdr_db.size(); ++q) {
     ASSERT_TRUE(engine.Query(data.cdr_db[q], data.transit_db,
-                             Matcher::kAlphaFilter, 1)
+                             Matcher::kAlphaFilter)
                     .ok());
   }
   EXPECT_GT(align.Count() - a0, 0);
@@ -383,8 +387,7 @@ TEST(EngineTest, StageSamplerHasNoFirstPairBias) {
     const size_t q = i % data.cdr_db.size();
     ASSERT_TRUE(engine
                     .QueryWithCandidates(data.cdr_db[q], data.transit_db,
-                                         {q}, Matcher::kAlphaFilter, nullptr,
-                                         nullptr)
+                                         {q}, Matcher::kAlphaFilter)
                     .ok());
   }
   const int64_t scored = pairs.Value() - p0;
@@ -401,9 +404,9 @@ TEST(EngineTest, InstrumentationDoesNotChangeResults) {
   FtlEngine engine(TestOptions());
   ASSERT_TRUE(engine.Train(data.cdr_db, data.transit_db).ok());
   auto r1 = engine.Query(data.cdr_db[2], data.transit_db,
-                         Matcher::kAlphaFilter, 1);
+                         Matcher::kAlphaFilter);
   auto r2 = engine.Query(data.cdr_db[2], data.transit_db,
-                         Matcher::kAlphaFilter, 1);
+                         Matcher::kAlphaFilter);
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   const auto& a = r1.value().candidates;
